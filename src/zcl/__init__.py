@@ -46,6 +46,14 @@ from .synth import (
     TwoValuedRenewal,
     generate_synthetic_trace,
 )
-from .trace import TraceFormatError, TraceRecord, parse_squid_log, read_canonical_csv, write_canonical_csv
+from .trace import (
+    Trace,
+    TraceFormatError,
+    TraceRecord,
+    parse_squid_log,
+    read_canonical_csv,
+    read_trace,
+    write_canonical_csv,
+)
 
 __version__ = "0.1.0"

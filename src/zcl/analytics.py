@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .trace import TraceRecord
+from .trace import Trace, TraceRecord
 
 __all__ = [
     "PopularityProfile",
@@ -110,34 +110,28 @@ def build_popularity_profile(
     otherwise the whole stream is used and the window is its time extent.
     Raises ValueError when no cacheable record falls inside the window.
     """
-    counts: dict[str, int] = {}
-    total = 0
-    start = end = None
-    cutoff = None
-    for rec in records:
-        if start is None:
-            start = rec.timestamp
-            if window_days is not None:
-                cutoff = start + window_days * SECONDS_PER_DAY
-        if cutoff is not None and rec.timestamp >= cutoff:
-            continue
-        end = rec.timestamp
-        total += 1
-        if rec.cacheable:
-            counts[rec.object_id] = counts.get(rec.object_id, 0) + 1
-    if not counts:
+    trace = Trace.from_records(records)
+    if not len(trace):
         raise ValueError("no cacheable records in window: profile undefined")
-    # Stable sort on descending count keeps first-seen order within ties.
-    ranked = sorted(counts.items(), key=lambda kv: -kv[1])
-    values = np.fromiter((c for _, c in ranked), dtype=np.int64, count=len(ranked))
-    assert start is not None and end is not None
-    window_end = start + window_days * SECONDS_PER_DAY if window_days is not None else end
+    start = float(trace.timestamps[0])
+    if window_days is None:
+        window, window_end = trace, float(trace.timestamps[-1])
+    else:
+        window_end = start + window_days * SECONDS_PER_DAY
+        window = trace[trace.timestamps < window_end]
+    codes = window.objects[window.cacheable]
+    if not codes.size:
+        raise ValueError("no cacheable records in window: profile undefined")
+    # Descending count, ties in order of first appearance in the stream.
+    seen, first = np.unique(codes, return_index=True)
+    counts = np.bincount(codes)
+    ranked = seen[np.lexsort((first, -counts[seen]))]
     return PopularityProfile(
-        counts=values,
-        object_ids=tuple(obj for obj, _ in ranked),
+        counts=counts[ranked].astype(np.int64),
+        object_ids=tuple(window.object_ids[code] for code in ranked.tolist()),
         window_start_s=start,
         window_end_s=window_end,
-        total_requests=total,
+        total_requests=len(window),
     )
 
 

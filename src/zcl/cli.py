@@ -3,8 +3,7 @@
 Subcommands: ingest, analyze, synth, simulate, model, report.  Exit codes:
 0 ok, 1 internal error, 2 input/format error.  Every command that writes
 files also writes `<out>.manifest.json` recording inputs, parameters and
-outputs, even when the command fails half way.  ZCL_THREADS caps internal
-fan-out where a command runs several simulations.
+outputs, even when the command fails half way.
 """
 
 from __future__ import annotations
@@ -47,23 +46,15 @@ class RunManifest:
             print(f"warning: cannot write manifest {path}: {exc}", file=sys.stderr)
 
 
-def _threads() -> int:
-    raw = os.environ.get("ZCL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"ZCL_THREADS must be an integer, got {raw!r}")
-
-
 def _print_json(payload: dict):
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
-def _load_trace(path: str) -> list[trace.TraceRecord]:
+def _load_trace(path: str) -> trace.Trace:
     try:
         with open(path, encoding="utf-8") as f:
-            return list(trace.read_canonical_csv(f))
+            return trace.read_trace(f)
     except OSError as exc:
         raise InputError(f"cannot read trace {path}: {exc}")
 
@@ -191,7 +182,7 @@ def cmd_analyze(args) -> int:
         window = (
             records
             if args.window_days is None
-            else [r for r in records if r.timestamp < profile.window_end_s]
+            else records[records.timestamps < profile.window_end_s]
         )
         result = simcache.simulate(window, config, changes)
         lifetimes = analytics.lifetimes_from_evictions(result.evictions)
@@ -325,7 +316,7 @@ def cmd_simulate(args) -> int:
         if args.changes:
             manifest.inputs.append(args.changes)
         configs = [_cache_config(_parse_flat_config(path)) for path in args.configs]
-        results = simcache.compare_policies(records, configs, changes, max_workers=_threads())
+        results = simcache.compare_policies(records, configs, changes)
         payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
         out_doc = payloads[0] if len(payloads) == 1 else payloads
         with open(args.out, "w", encoding="utf-8") as f:
@@ -529,9 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
-        "simulate",
-        help="replay a trace through one or more cache configurations "
-        "(several configs fan out over ZCL_THREADS workers)",
+        "simulate", help="replay a trace through one or more cache configurations"
     )
     p.add_argument("trace")
     p.add_argument("configs", nargs="+", help="flat key=value cache config file(s)")

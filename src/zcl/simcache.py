@@ -26,12 +26,12 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .trace import TraceRecord
+from .trace import Trace, TraceRecord
 
 __all__ = [
     "Policy",
@@ -164,7 +164,6 @@ class _Stats:
 
     __slots__ = (
         "count",
-        "first_request",
         "last_request",
         "last_fetch",
         "resident",
@@ -175,7 +174,6 @@ class _Stats:
 
     def __init__(self, now: float, size: int):
         self.count = 1
-        self.first_request = now
         self.last_request = now
         self.last_fetch = now
         self.resident = False
@@ -185,21 +183,20 @@ class _Stats:
 
 
 class _LruEngine:
-    def __init__(self, capacity: int, byte_accounting: bool, counts: dict[str, int]):
+    def __init__(self, capacity: int, byte_accounting: bool, counts: dict[Hashable, int]):
         self.capacity = capacity
         self.byte_accounting = byte_accounting
         self.counts = counts  # driver-maintained global request counts
-        self.entries: OrderedDict[str, _Stats] = OrderedDict()
+        self.entries: OrderedDict[Hashable, _Stats] = OrderedDict()
         self.used = 0
         self.evictions: list[Eviction] = []
-        self.bypassed: set[str] = set()
+        self.bypassed: set[Hashable] = set()
         self.bypass_events = 0
 
     def _charge(self, size: int) -> int:
         return size if self.byte_accounting else 1
 
-    def access(self, rec: TraceRecord, fresh_fn) -> str:
-        obj, now = rec.object_id, rec.timestamp
+    def access(self, obj: Hashable, now: float, size: int, fresh_fn) -> str:
         entry = self.entries.get(obj)
         if entry is not None:
             self.entries.move_to_end(obj)
@@ -207,12 +204,12 @@ class _LruEngine:
                 return HIT
             entry.last_fetch = now
             return STALE_MISS
-        charge = self._charge(rec.size_bytes)
+        charge = self._charge(size)
         if charge > self.capacity:
             self.bypassed.add(obj)
             self.bypass_events += 1
             return MISS
-        entry = _Stats(now, rec.size_bytes)
+        entry = _Stats(now, size)
         entry.resident = True
         self.entries[obj] = entry
         self.used += charge
@@ -235,26 +232,26 @@ class _LruEngine:
 class _ZipfEngine:
     """Kernel + accessory + managing construction."""
 
-    def __init__(self, config: CacheConfig, counts: dict[str, int]):
+    def __init__(self, config: CacheConfig, counts: dict[Hashable, int]):
         self.byte_accounting = config.byte_accounting
         self.counts = counts  # driver-maintained global request counts
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
         self.managing_capacity = config.managing_capacity
-        self.managing: dict[str, _Stats] = {}
-        self.accessory: OrderedDict[str, None] = OrderedDict()
+        self.managing: dict[Hashable, _Stats] = {}
+        self.accessory: OrderedDict[Hashable, None] = OrderedDict()
         self.kernel_bytes = 0
         self.accessory_bytes = 0
         # Lazy min-heaps; entries are revalidated against current stats on pop.
-        self._kernel_heap: list[tuple[int, float, int, str]] = []
-        self._ghost_heap: list[tuple[float, int, str]] = []
+        self._kernel_heap: list[tuple[int, float, int, Hashable]] = []
+        self._ghost_heap: list[tuple[float, int, Hashable]] = []
         self._seq = 0
         # Running mean object size, for the auto managing bound.
         self._size_sum = 0
         self._size_n = 0
         self._total_capacity = config.capacity_bytes
         self.evictions: list[Eviction] = []
-        self.bypassed: set[str] = set()
+        self.bypassed: set[Hashable] = set()
         self.bypass_events = 0
 
     def _charge(self, size: int) -> int:
@@ -272,15 +269,15 @@ class _ZipfEngine:
         mean = self._size_sum / self._size_n if self._size_n else 1.0
         return max(100, int(10 * self._total_capacity / max(mean, 1.0)))
 
-    def _push_ghost(self, obj: str, stats: _Stats):
+    def _push_ghost(self, obj: Hashable, stats: _Stats):
         heapq.heappush(self._ghost_heap, (stats.last_request, self._next_seq(), obj))
 
-    def _push_kernel(self, obj: str, stats: _Stats):
+    def _push_kernel(self, obj: Hashable, stats: _Stats):
         heapq.heappush(
             self._kernel_heap, (stats.count, stats.last_request, self._next_seq(), obj)
         )
 
-    def _end_residency(self, obj: str, stats: _Stats, now: float):
+    def _end_residency(self, obj: Hashable, stats: _Stats, now: float):
         self.evictions.append(
             Eviction(obj, stats.residency_start, now, self.counts.get(obj, 0))
         )
@@ -302,7 +299,7 @@ class _ZipfEngine:
             self.kernel_bytes -= self._charge(stats.size)
             self._end_residency(obj, stats, now)
 
-    def _insert_kernel(self, obj: str, stats: _Stats, now: float) -> str:
+    def _insert_kernel(self, obj: Hashable, stats: _Stats, now: float) -> str:
         """Place an object (residency fields already set) into the kernel.
 
         Returns "resident", "too_big" (cannot fit even an empty kernel), or
@@ -319,7 +316,7 @@ class _ZipfEngine:
         self._evict_kernel_over_capacity(now)
         return "resident" if stats.resident else "evicted"
 
-    def _insert_accessory(self, obj: str, stats: _Stats, now: float) -> bool:
+    def _insert_accessory(self, obj: Hashable, stats: _Stats, now: float) -> bool:
         charge = self._charge(stats.size)
         if charge > self.accessory_capacity:
             return False
@@ -347,15 +344,14 @@ class _ZipfEngine:
             del self.managing[obj]
         # All remaining entries may be resident; those are never dropped.
 
-    def access(self, rec: TraceRecord, fresh_fn) -> str:
-        obj, now = rec.object_id, rec.timestamp
+    def access(self, obj: Hashable, now: float, size: int, fresh_fn) -> str:
         stats = self.managing.get(obj)
 
         if stats is None:
             # Admission: first request ever seen for this object.
-            stats = _Stats(now, rec.size_bytes)
+            stats = _Stats(now, size)
             self.managing[obj] = stats
-            self._size_sum += self._charge(rec.size_bytes)
+            self._size_sum += self._charge(size)
             self._size_n += 1
             if not self._insert_accessory(obj, stats, now):
                 self.bypassed.add(obj)
@@ -422,13 +418,17 @@ class CacheSim:
     ``process`` applies one record and returns the event outcome (HIT, MISS,
     STALE_MISS or UNCACHEABLE); ``result`` finalizes counters into a
     SimulationResult.  Feeding events one by one is exactly equivalent to
-    ``simulate`` over the same stream.
+    ``simulate`` over the same stream.  Object keys are opaque to the
+    simulator: whatever ``process`` (or ``simulate``, with int codes) passes
+    in is what the change log is keyed by and what the eviction log holds.
     """
 
-    def __init__(self, config: CacheConfig, changes: dict[str, Sequence[float]] | None = None):
+    def __init__(
+        self, config: CacheConfig, changes: dict[Hashable, Sequence[float]] | None = None
+    ):
         self.config = config
         self._changes = changes or {}
-        self._counts: dict[str, int] = {}
+        self._counts: dict[Hashable, int] = {}
         if config.policy is Policy.LRU:
             self._engine = _LruEngine(
                 config.capacity_bytes, config.byte_accounting, self._counts
@@ -444,7 +444,7 @@ class CacheSim:
         self._last_ts: float | None = None
         self._finalized = False
 
-    def _fresh(self, obj: str, last_fetch: float, now: float) -> bool:
+    def _fresh(self, obj: Hashable, last_fetch: float, now: float) -> bool:
         times = self._changes.get(obj)
         if not times:
             return True
@@ -452,39 +452,40 @@ class CacheSim:
         return i == 0 or times[i - 1] <= last_fetch
 
     def process(self, rec: TraceRecord) -> str:
-        if self._last_ts is not None and rec.timestamp < self._last_ts:
-            raise ValueError(
-                f"records out of order: {rec.timestamp} after {self._last_ts}"
-            )
-        if self._last_ts is None:
-            self._result.start_ts = rec.timestamp
-        self._last_ts = rec.timestamp
-        self._result.end_ts = rec.timestamp
+        return self._step(rec.timestamp, rec.object_id, rec.size_bytes, rec.cacheable)
+
+    def _step(self, now: float, obj: Hashable, size: int, cacheable: bool) -> str:
+        """Apply one request; the per-event body of process and simulate."""
+        last = self._last_ts
+        if last is None:
+            self._result.start_ts = now
+        elif now < last:
+            raise ValueError(f"records out of order: {now} after {last}")
+        self._last_ts = now
 
         r = self._result
         r.requests += 1
-        r.total_bytes += rec.size_bytes
-        if not rec.cacheable:
+        r.total_bytes += size
+        if not cacheable:
             r.uncacheable += 1
-            r.origin_bytes += rec.size_bytes
+            r.origin_bytes += size
             outcome = UNCACHEABLE
         else:
-            obj = rec.object_id
             self._counts[obj] = self._counts.get(obj, 0) + 1
-            outcome = self._engine.access(rec, self._fresh)
+            outcome = self._engine.access(obj, now, size, self._fresh)
             if outcome == HIT:
                 r.hits += 1
-                r.hit_bytes += rec.size_bytes
+                r.hit_bytes += size
             elif outcome == STALE_MISS:
                 r.stale_misses += 1
-                r.origin_bytes += rec.size_bytes
+                r.origin_bytes += size
             else:
                 r.misses += 1
-                r.origin_bytes += rec.size_bytes
+                r.origin_bytes += size
 
         self._events += 1
         if self._events % self.config.occupancy_stride == 0:
-            r.occupancy.append(self._engine.occupancy(rec.timestamp))
+            r.occupancy.append(self._engine.occupancy(now))
         return outcome
 
     def check_invariants(self):
@@ -492,6 +493,8 @@ class CacheSim:
 
     def result(self) -> SimulationResult:
         r = self._result
+        if self._last_ts is not None:
+            r.end_ts = self._last_ts
         if not self._finalized:
             self._finalized = True
             if self._events % self.config.occupancy_stride != 0 and self._last_ts is not None:
@@ -507,32 +510,46 @@ def simulate(
     config: CacheConfig,
     changes: dict[str, Sequence[float]] | None = None,
 ) -> SimulationResult:
-    """Run one configuration over a time-ordered record stream."""
-    sim = CacheSim(config, changes)
-    for rec in records:
-        sim.process(rec)
-    return sim.result()
+    """Run one configuration over a time-ordered record stream.
+
+    The records (a Trace, or any record iterable, converted once) are fed
+    as int object codes; the change log is re-keyed to codes up front, and
+    the eviction log and bypassed objects are mapped back to ids.
+    """
+    trace = Trace.from_records(records)
+    ids = trace.object_ids
+    code_of = {obj: code for code, obj in enumerate(ids)}
+    sim = CacheSim(
+        config,
+        {code_of[obj]: times for obj, times in (changes or {}).items() if obj in code_of},
+    )
+    # deque(maxlen=0) drains the map without a Python-level loop.
+    deque(
+        map(
+            sim._step,
+            trace.timestamps.tolist(),
+            trace.objects.tolist(),
+            trace.sizes.tolist(),
+            trace.cacheable.tolist(),
+        ),
+        maxlen=0,
+    )
+    result = sim.result()
+    result.evictions = [
+        Eviction(ids[obj], insert_ts, evict_ts, count)
+        for obj, insert_ts, evict_ts, count in result.evictions
+    ]
+    result.bypassed_objects = frozenset(ids[obj] for obj in result.bypassed_objects)
+    return result
 
 
 def compare_policies(
     records: Iterable[TraceRecord],
     configs: Sequence[CacheConfig],
     changes: dict[str, Sequence[float]] | None = None,
-    max_workers: int = 1,
 ) -> list[SimulationResult]:
-    """Simulate several configurations over the identical record stream.
-
-    Results come back in config order regardless of worker count, so the
-    comparison is deterministic.
-    """
+    """Simulate several configurations, in config order, over the identical record stream."""
     if not configs:
         raise ValueError("need at least one configuration")
-    materialized = list(records)
-    if max_workers > 1 and len(configs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(
-                pool.map(lambda cfg: simulate(materialized, cfg, changes), configs)
-            )
-    return [simulate(materialized, cfg, changes) for cfg in configs]
+    trace = Trace.from_records(records)
+    return [simulate(trace, cfg, changes) for cfg in configs]

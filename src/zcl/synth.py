@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import RenewalModel, mu_of_rank
-from .trace import TraceRecord
+from .trace import Trace
 
 __all__ = [
     "NoRenewal",
@@ -141,7 +141,7 @@ class SyntheticWorkloadSpec:
 class SyntheticTrace:
     """Generated records plus the ground truth behind them."""
 
-    records: list[TraceRecord]
+    records: Trace
     changes: dict[str, list[float]]  # object_id -> sorted change times (s)
     change_rates: dict[str, float]  # object_id -> rate per day, zero omitted
 
@@ -174,7 +174,7 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
 
     Draw order is fixed (arrivals, clients, cacheable flags, ranks, sizes,
     change events), so identical specs yield bit-identical streams.  Records
-    come out in time order.
+    come out in time order, as the columns of one Trace.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.universe_size
@@ -217,26 +217,20 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
             if n_events:
                 changes[obj] = sorted((rng.random(int(n_events)) * horizon_s).tolist())
 
-    client_pool = [f"c{i}" for i in range(spec.clients)]
-    # Interned id strings, built only for ranks that actually occur (the
-    # universe may be far larger than the set of requested objects).
-    cache_names: dict[int, str] = {}
-    other_names: dict[int, str] = {}
-
-    records: list[TraceRecord] = []
-    for i in range(count):
-        r = int(ranks[i])
-        if cacheable[i]:
-            name = cache_names.get(r)
-            if name is None:
-                name = cache_names[r] = f"o{r}"
-            size = int(sizes[r - 1])
-        else:
-            name = other_names.get(r)
-            if name is None:
-                name = other_names[r] = f"u{r}"
-            size = int(other_sizes[r - 1])
-        records.append(
-            TraceRecord(float(times[i]), client_pool[client_ids[i]], name, size, bool(cacheable[i]))
-        )
+    # Ids only for ranks that occur: cacheable rank r keys as r, uncacheable
+    # rank r as -r, so one np.unique gives the id table and the codes.
+    keys = np.where(cacheable, ranks, -ranks)
+    occurring, codes = np.unique(keys, return_inverse=True)
+    request_sizes = np.empty(count, dtype=np.int64)
+    request_sizes[cacheable] = sizes[ranks[cacheable] - 1]
+    request_sizes[~cacheable] = other_sizes[ranks[~cacheable] - 1]
+    records = Trace(
+        timestamps=times,
+        objects=codes.astype(np.int32),
+        object_ids=tuple(f"o{k}" if k > 0 else f"u{-k}" for k in occurring.tolist()),
+        clients=client_ids.astype(np.int32),
+        client_ids=tuple(f"c{i}" for i in range(spec.clients)),
+        sizes=request_sizes,
+        cacheable=cacheable,
+    )
     return SyntheticTrace(records=records, changes=changes, change_rates=change_rates)

@@ -19,7 +19,7 @@ from zcl.analytics import (
 )
 from zcl.simcache import CacheConfig, Eviction, Policy
 from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
-from zcl.trace import TraceRecord
+from zcl.trace import Trace, TraceRecord
 
 DAY = 86_400.0
 
@@ -81,6 +81,57 @@ def test_profile_window_filter():
     assert profile.p == 1
     assert profile.k == 2
     assert profile.window_days == 1.0
+
+
+def reference_profile(records, window_days=None):
+    """The per-record dict loop build_popularity_profile replaces."""
+    counts, total, start, end, cutoff = {}, 0, None, None, None
+    for r in records:
+        if start is None:
+            start = r.timestamp
+            if window_days is not None:
+                cutoff = start + window_days * DAY
+        if cutoff is not None and r.timestamp >= cutoff:
+            continue
+        end = r.timestamp
+        total += 1
+        if r.cacheable:
+            counts[r.object_id] = counts.get(r.object_id, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: -kv[1])
+    window_end = start + window_days * DAY if window_days is not None else end
+    return [c for _, c in ranked], tuple(o for o, _ in ranked), start, window_end, total
+
+
+@st.composite
+def profile_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=80))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 600.0, DAY / 3]), min_size=n, max_size=n))
+    times = np.cumsum(gaps).tolist()
+    records = [
+        rec(t, draw(st.sampled_from(["A", "B", "C", "a,b", 'q"', "", "D"])),
+            cacheable=draw(st.sampled_from([True, True, False])))
+        for t in times
+    ]
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    return records, draw(st.sampled_from([None, 0.5, 1.0, 2.0]))
+
+
+@given(case=profile_cases())
+@settings(max_examples=300, deadline=None)
+def test_profile_list_and_trace_match_reference(case):
+    records, window_days = case
+    expected = reference_profile(records, window_days)
+    for source in (records, Trace.from_records(records)):
+        if not expected[0]:
+            with pytest.raises(ValueError):
+                build_popularity_profile(source, window_days)
+            continue
+        got = build_popularity_profile(source, window_days)
+        assert got.counts.tolist() == expected[0]
+        assert got.object_ids == expected[1]  # tie order included
+        assert (got.window_start_s, got.window_end_s, got.total_requests) == expected[2:]
+        assert got.window_days == (expected[3] - expected[2]) / DAY
 
 
 def test_profile_requires_cacheable_records():

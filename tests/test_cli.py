@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import zcl
 from zcl.cli import main
 from zcl.trace import read_canonical_csv
 
@@ -185,8 +187,7 @@ def test_simulate_writes_eviction_and_occupancy_csv(tmp_path):
     assert occ_lines[0] == "timestamp_s,kernel_bytes,accessory_bytes,managing_entries"
 
 
-def test_simulate_multi_config_fans_out(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZCL_THREADS", "2")
+def test_simulate_multi_config_fans_out(tmp_path):
     rows = [row(float(t), f"o{t % 6}") for t in range(60)]
     trace = trace_csv(tmp_path / "t.csv", rows)
     lru = objects_cfg(tmp_path / "lru.cfg", 3)
@@ -196,6 +197,16 @@ def test_simulate_multi_config_fans_out(tmp_path, monkeypatch):
     docs = json.loads(Path(out).read_text())
     assert isinstance(docs, list) and len(docs) == 2
     assert docs[0]["policy"] == "lru" and docs[1]["policy"] == "zipf_construction"
+
+
+@pytest.mark.parametrize(
+    "bad_row", ["1.0,c0,B,1\n", "x1.0,c0,B,1,1\n", "1.0,c0,B,1,yes\n"]
+)
+def test_simulate_bad_trace_row_exits_2(tmp_path, capsys, bad_row):
+    trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A"), bad_row, row(2.0, "C")])
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_simulate_bad_config_key_exits_2(tmp_path):
@@ -310,7 +321,9 @@ def test_million_request_golden_run(tmp_path):
     )
     out = str(tmp_path / "golden.json")
     t0 = time.perf_counter()
-    env = dict(os.environ, PYTHONPATH="")
+    # Run the package under test, not whatever copy the environment would find.
+    src_dir = Path(zcl.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
     subprocess.run(
         [sys.executable, "-m", "zcl", "synth", "--universe", "100000", "--alpha", "0.8",
          "--clients", "20", "--rate", "50000", "--days", "1",
@@ -326,3 +339,54 @@ def test_million_request_golden_run(tmp_path):
     got = json.loads(Path(out).read_text())
     assert got == expected
     assert elapsed < 60.0
+
+
+# --- byte identity of written traces ----------------------------------------------
+
+# SHA-256 of outputs written by the reference implementation; any change to
+# generation order, id naming, float formatting or CSV quoting moves them.
+SYNTH_DIGESTS = {
+    "none": (
+        "f9f40abcd4128022ed167bcde2e5206c117856697c20b6e7210022a618d44b1b",
+        "a9072f6ebd1174b46e61b00b08429802c3e2dbc2b8ab7a4ee4ef6cc520cccdda",
+    ),
+    "rank": (
+        "f9f40abcd4128022ed167bcde2e5206c117856697c20b6e7210022a618d44b1b",
+        "43a4ad048a5ff71b94b8b85619e151ab04ed92295c48a6dfd02abfec08f98373",
+    ),
+}
+INGEST_DIGEST = "838c326c447e4a5f274591d74df1ebce5b02099bfe6872677c7d4dfe75e7dd66"
+
+QUOTING_SQUID_LINES = """\
+1000.25 120 10.0.0.1 TCP_MISS/200 8320 GET http://a/q?x=1,2 - DIRECT/1.2.3.4 text/html
+1000.75 5 10.0.0.2 TCP_HIT/200 8320 GET http://a/q?x=1,2 - NONE/- text/html
+1000.5 80 10.0.0.2 TCP_MISS/200 0 GET http://b/say"hi" - DIRECT/5.6.7.8 text/html
+1001.0 3 10.0.0.3 TCP_MEM_HIT/200 77 GET http://b/say"hi" - NONE/- text/html
+garbage
+1002.0 10 10.0.0.1 TCP_DENIED/403 320 GET http://c/z - NONE/- text/html
+1002.0 900 10.0.0.3 TCP_MISS/200 4096 CONNECT d.example:443 - DIRECT/9.9.9.9 -
+"""
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("renewal", ["none", "rank"])
+def test_synth_output_bytes_pinned(tmp_path, capsys, renewal):
+    out, changes = tmp_path / "t.csv", tmp_path / "ch.csv"
+    args = ["synth", "--universe", "300", "--alpha", "0.7", "--clients", "3",
+            "--rate", "1500", "--days", "2", "--cacheable-fraction", "0.85",
+            "--seed", "21", "--renewal", renewal, "--out", str(out),
+            "--changes-out", str(changes)]
+    if renewal == "rank":
+        args += ["--alpha-r", "0.6"]
+    assert main(args) == 0
+    assert (sha256(out), sha256(changes)) == SYNTH_DIGESTS[renewal]
+
+
+def test_ingest_output_bytes_pinned(tmp_path, capsys):
+    log = write(tmp_path / "access.log", QUOTING_SQUID_LINES)
+    out = tmp_path / "trace.csv"
+    assert main(["ingest", log, str(out)]) == 0
+    assert sha256(out) == INGEST_DIGEST

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zcl.simcache import (
     HIT,
@@ -15,7 +17,7 @@ from zcl.simcache import (
     simulate,
 )
 from zcl.synth import RankDependentRenewal, SyntheticWorkloadSpec, generate_synthetic_trace
-from zcl.trace import TraceRecord
+from zcl.trace import Trace, TraceRecord
 
 DAY = 86_400.0
 
@@ -319,6 +321,55 @@ def test_event_replay_equals_whole_trace(policy):
         assert getattr(stepped, field) == getattr(whole, field), field
 
 
+AWKWARD_IDS = ["a", "b", "a,b", 'say "hi"', "", " ", "0", "1", "x\ny", "é"]
+
+
+@st.composite
+def replay_cases(draw):
+    """Small record lists with tied timestamps, uncacheable requests and a change log."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5, DAY]), min_size=n, max_size=n))
+    records, t = [], 0.0
+    for gap in gaps:
+        t += gap
+        records.append(TraceRecord(
+            t,
+            draw(st.sampled_from(["c0", "c,1"])),
+            draw(st.sampled_from(AWKWARD_IDS)),
+            draw(st.integers(min_value=1, max_value=40)),
+            draw(st.booleans()) or draw(st.booleans()),
+        ))
+    changes = draw(st.dictionaries(
+        st.sampled_from(AWKWARD_IDS + ["never-requested"]),
+        st.lists(st.floats(min_value=0.0, max_value=t + 1.0), max_size=4).map(sorted),
+    ))
+    config = CacheConfig(
+        capacity_bytes=draw(st.integers(min_value=1, max_value=80)),
+        policy=draw(st.sampled_from(list(Policy))),
+        kernel_fraction=draw(st.sampled_from([0.25, 0.5])),
+        managing_capacity=draw(st.sampled_from([None, 1, 3])),
+        byte_accounting=draw(st.booleans()),
+        occupancy_stride=draw(st.integers(min_value=1, max_value=7)),
+    )
+    return records, changes, config
+
+
+@given(case=replay_cases())
+@settings(max_examples=300, deadline=None)
+def test_simulate_equals_per_event_process(case):
+    """simulate over a Trace (int keys) against CacheSim.process over records (id keys)."""
+    records, changes, config = case
+    sim = CacheSim(config, changes)
+    for r in records:
+        sim.process(r)
+    expected = sim.result()
+    got = simulate(Trace.from_records(records), config, changes)
+    assert got == expected
+    assert got.evictions == expected.evictions
+    assert got.occupancy == expected.occupancy
+    assert got.bypassed_objects == expected.bypassed_objects
+
+
 @pytest.mark.parametrize("policy", list(Policy))
 def test_invariants_hold_after_every_event(policy):
     records, changes = random_workload(57, n_events=1500, n_objects=80)
@@ -375,7 +426,7 @@ def test_compare_policies_on_zipf_day_capacity():
         objects_config(day_objects, Policy.LRU),
         objects_config(day_objects, Policy.ZIPF_CONSTRUCTION),
     ]
-    lru, seg = compare_policies(records, configs, max_workers=2)
+    lru, seg = compare_policies(records, configs)
     assert 0.0 < lru.hit_ratio < 1.0
     assert 0.0 < seg.hit_ratio < 1.0
     assert lru.requests == seg.requests == len(records)

@@ -1,15 +1,20 @@
+import csv
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zcl import trace as trace_module
 from zcl.trace import (
+    Trace,
     TraceFormatError,
     TraceRecord,
     parse_squid_log,
     read_canonical_csv,
     read_change_log_csv,
+    read_trace,
     write_canonical_csv,
     write_change_log_csv,
 )
@@ -110,6 +115,33 @@ def test_csv_empty_file_is_format_error():
         list(read_canonical_csv(io.StringIO("")))
 
 
+HEADER = "timestamp_s,client_id,object_id,size_bytes,cacheable\n"
+
+
+@pytest.mark.parametrize("block_rows", [2, 1 << 16])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.0,c0,o1,5\n", "line 4: "),  # short row
+        ("1.0,c0,o1\n", "line 4: "),  # short row, fewer columns still
+        ("x1.0,c0,o1,5,1\n", "line 4: could not convert string to float"),
+        ("1.0,c0,o1,5.5,1\n", "line 4: invalid literal for int"),
+        ("1.0,c0,o1,5,yes\n", "line 4: bad boolean 'yes' in column cacheable"),
+    ],
+)
+def test_csv_bad_row_names_line(row, message, block_rows):
+    text = HEADER + "0.5,c0,o1,5,1\n\n" + row + "2.0,c0,o2,5,1\nbad,c0,o2,5,1\n"
+    with mock.patch.object(trace_module, "_BLOCK_ROWS", block_rows):
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace(io.StringIO(text))
+
+
+def test_csv_bad_origin_names_line():
+    text = HEADER[:-1] + ",origin_hit\n1.0,c0,o1,5,1,\n2.0,c0,o1,5,1,maybe\n"
+    with pytest.raises(TraceFormatError, match="line 3: bad boolean 'maybe' in column origin_hit"):
+        read_trace(io.StringIO(text))
+
+
 ids = st.text(
     st.sampled_from("abcdefghijklmnopqrstuvwxyzABC0123456789:/._-?&%"), min_size=1, max_size=40
 )
@@ -167,3 +199,76 @@ def test_change_log_roundtrip():
 def test_change_log_bad_header():
     with pytest.raises(TraceFormatError):
         read_change_log_csv(io.StringIO("a,b\n1,2\n"))
+
+
+# --- block reader against the csv module ----------------------------------------------
+
+awkward_ids = st.text(st.sampled_from('ab,"\n 0é'), max_size=6)
+awkward_records = st.lists(
+    st.builds(
+        TraceRecord,
+        timestamp=st.floats(min_value=0, max_value=1e9, allow_nan=False),
+        client_id=st.sampled_from(["c0", "c1", "c,2"]),
+        object_id=st.one_of(st.sampled_from(["o1", "o2"]), awkward_ids),
+        size_bytes=st.integers(min_value=1, max_value=10**12),
+        cacheable=st.booleans(),
+        origin_hit=st.one_of(st.none(), st.booleans()),
+    ),
+    max_size=25,
+)
+
+
+def reference_rows(records, with_origin):
+    """One csv.writer line per record, as the row-at-a-time writer produced them."""
+    for r in records:
+        buf = io.StringIO()
+        row = [repr(r.timestamp), r.client_id, r.object_id, str(r.size_bytes),
+               "1" if r.cacheable else "0"]
+        if with_origin:
+            row.append("" if r.origin_hit is None else ("1" if r.origin_hit else "0"))
+        csv.writer(buf, lineterminator="\n").writerow(row)
+        yield buf.getvalue()
+
+
+def reference_read(text):
+    """Records parsed row by row with csv.reader, the behaviour read_trace keeps."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    idx = {name: header.index(name) for name in header}
+    for row in reader:
+        if not row:
+            continue
+        origin = row[idx["origin_hit"]] if "origin_hit" in idx else ""
+        yield TraceRecord(
+            float(row[idx["timestamp_s"]]),
+            row[idx["client_id"]],
+            row[idx["object_id"]],
+            int(row[idx["size_bytes"]]),
+            row[idx["cacheable"]] == "1",
+            None if origin == "" else origin == "1",
+        )
+
+
+@given(records=awkward_records, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_reader_and_writer_match_csv_module(records, data):
+    with_origin = any(r.origin_hit is not None for r in records)
+    rows = list(reference_rows(records, with_origin))
+    header = HEADER[:-1] + (",origin_hit" if with_origin else "")
+
+    buf = io.StringIO()
+    assert write_canonical_csv(Trace.from_records(records), buf) == len(records)
+    assert buf.getvalue() == header + "\n" + "".join(rows)
+
+    # Blank lines between rows and an ignored extra column, then read with
+    # blocks small enough that quoted and plain rows share and cross them.
+    if data.draw(st.booleans()):
+        header += ",extra"
+        rows = [row[:-1] + ",x\n" for row in rows]
+    blanks = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    text = header + "\n" + "".join(("\n" if blank else "") + row for blank, row in zip(blanks, rows))
+    expected = list(reference_read(text))
+    assert expected == records
+    for block_rows in (1, 2, 3, 1 << 16):
+        with mock.patch.object(trace_module, "_BLOCK_ROWS", block_rows):
+            assert list(read_trace(io.StringIO(text))) == expected
