@@ -80,8 +80,6 @@ class TraceRecord:
     origin_hit: bool | None = None
 
 
-
-
 # origin_hit codes: 1 hit, 0 miss, -1 unknown; indexing with the code gives
 # the TraceRecord value.
 _ORIGIN_VALUES = (False, True, None)
@@ -179,9 +177,7 @@ class Trace:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         objects, clients = self.object_ids, self.client_ids
-        origin = (
-            self.origin_hit.tolist() if self.origin_hit is not None else [-1] * len(self)
-        )
+        origin = self.origin_hit.tolist() if self.origin_hit is not None else repeat(-1)
         for ts, client, obj, size, cacheable, hit in zip(
             self.timestamps.tolist(),
             self.clients.tolist(),
@@ -412,7 +408,6 @@ def read_trace(stream: IO[str]) -> Trace:
             columns = [fields[i::width] for i in picks]
             linenos = range(lineno + 1, lineno + 1 + len(block))
             lineno += len(block)
-            rows = None
         else:
             rows, linenos = [], []
             for row in _csv_rows(block, lines):
@@ -422,7 +417,7 @@ def read_trace(stream: IO[str]) -> Trace:
                     linenos.append(lineno)
             if None in rows:
                 _check_rows(rows, linenos)
-            columns = [list(column) for column in zip(*rows)] or [[] for _ in picks]
+            columns = list(zip(*rows)) or [() for _ in picks]
         try:
             ts, client, obj, size, flag, *origin = columns
             parts.append((
@@ -435,8 +430,10 @@ def read_trace(stream: IO[str]) -> Trace:
                             count=len(flag)) if has_origin else None,
             ))
         except (ValueError, KeyError, OverflowError) as exc:
-            _check_rows(rows if rows is not None else zip(*columns), linenos)
-            raise TraceFormatError(f"bad value in lines {linenos[0]}-{linenos[-1]}: {exc!r}")
+            _check_rows(zip(*columns), linenos)
+            raise TraceFormatError(
+                f"bad value in lines {linenos[0]}-{linenos[-1]}: {exc!r}"
+            ) from exc
 
     def column(i: int, dtype) -> np.ndarray:
         return np.concatenate([p[i] for p in parts]) if parts else np.zeros(0, dtype=dtype)
