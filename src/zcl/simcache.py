@@ -505,6 +505,12 @@ class CacheSim:
         return r
 
 
+# simulate turns this many requests at a time into Python lists, so the
+# lists stay small: less memory, and the garbage collector's full passes
+# do not walk one list entry per request of the whole trace.
+_REPLAY_BLOCK = 1 << 16
+
+
 def simulate(
     records: Iterable[TraceRecord],
     config: CacheConfig,
@@ -524,16 +530,18 @@ def simulate(
         {code_of[obj]: times for obj, times in (changes or {}).items() if obj in code_of},
     )
     # deque(maxlen=0) drains the map without a Python-level loop.
-    deque(
-        map(
-            sim._step,
-            trace.timestamps.tolist(),
-            trace.objects.tolist(),
-            trace.sizes.tolist(),
-            trace.cacheable.tolist(),
-        ),
-        maxlen=0,
-    )
+    for start in range(0, len(trace), _REPLAY_BLOCK):
+        block = trace[start : start + _REPLAY_BLOCK]
+        deque(
+            map(
+                sim._step,
+                block.timestamps.tolist(),
+                block.objects.tolist(),
+                block.sizes.tolist(),
+                block.cacheable.tolist(),
+            ),
+            maxlen=0,
+        )
     result = sim.result()
     result.evictions = [
         Eviction(ids[obj], insert_ts, evict_ts, count)

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zcl import simcache as simcache_module
 from zcl.simcache import (
     HIT,
     MISS,
@@ -363,11 +365,13 @@ def test_simulate_equals_per_event_process(case):
     for r in records:
         sim.process(r)
     expected = sim.result()
-    got = simulate(Trace.from_records(records), config, changes)
-    assert got == expected
-    assert got.evictions == expected.evictions
-    assert got.occupancy == expected.occupancy
-    assert got.bypassed_objects == expected.bypassed_objects
+    for block in (1, 7, 1 << 16):  # replay blocks of one, several and all requests
+        with mock.patch.object(simcache_module, "_REPLAY_BLOCK", block):
+            got = simulate(Trace.from_records(records), config, changes)
+        assert got == expected
+        assert got.evictions == expected.evictions
+        assert got.occupancy == expected.occupancy
+        assert got.bypassed_objects == expected.bypassed_objects
 
 
 @pytest.mark.parametrize("policy", list(Policy))
