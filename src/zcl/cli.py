@@ -151,77 +151,80 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    records = _load_trace(args.trace)
-    changes = _load_changes(args.changes)
-    profile = analytics.build_popularity_profile(records, args.window_days)
+    manifest = RunManifest(
+        "analyze",
+        inputs=[args.trace],
+        outputs=[args.out] + ([args.profile_out] if args.profile_out else []),
+        parameters={"window_days": args.window_days},
+    )
+    try:
+        records = _load_trace(args.trace)
+        changes = _load_changes(args.changes)
+        profile = analytics.build_popularity_profile(records, args.window_days)
 
-    alpha = None
-    if profile.M > 0:
-        alpha = analytics.estimate_alpha(profile)
-    else:
-        print("warning: no object requested twice, alpha undefined", file=sys.stderr)
+        alpha = None
+        if profile.M > 0:
+            alpha = analytics.estimate_alpha(profile)
+        else:
+            print("warning: no object requested twice, alpha undefined", file=sys.stderr)
 
-    row: dict = {
-        "S_eff_over_nu_int_days": None,
-        "S_eff": None,
-        "alpha": alpha,
-        "t_u_days": None,
-        "t_u_stderr_days": None,
-        "T_eff_days": None,
-        "T_eff_stderr_days": None,
-        "p_c": profile.k / profile.K if profile.K else None,
-        "M": profile.M,
-        "p": profile.p,
-        "k": profile.k,
-        "K": profile.K,
-        "T_st_days": profile.window_days,
-    }
+        row: dict = {
+            "S_eff_over_nu_int_days": None,
+            "S_eff": None,
+            "alpha": alpha,
+            "t_u_days": None,
+            "t_u_stderr_days": None,
+            "T_eff_days": None,
+            "T_eff_stderr_days": None,
+            "p_c": profile.k / profile.K if profile.K else None,
+            "M": profile.M,
+            "p": profile.p,
+            "k": profile.k,
+            "K": profile.K,
+            "T_st_days": profile.window_days,
+        }
 
-    if args.cache_config:
-        config = _cache_config(_parse_flat_config(args.cache_config))
-        window = (
-            records
-            if args.window_days is None
-            else records[records.timestamps < profile.window_end_s]
-        )
-        result = simcache.simulate(window, config, changes)
-        lifetimes = analytics.lifetimes_from_evictions(result.evictions)
-        summary = analytics.MeasurementSummary.from_simulation(result)
-        row.update(
-            {
-                "S_eff": config.capacity_bytes,
-                "S_eff_over_nu_int_days": summary.size_to_traffic_days,
-                "t_u_days": lifetimes.t_u.mean_days,
-                "t_u_stderr_days": lifetimes.t_u.stderr_days,
-                "T_eff_days": lifetimes.t_eff.mean_days,
-                "T_eff_stderr_days": lifetimes.t_eff.stderr_days,
-                "H_pct": result.hit_ratio * 100.0,
-                "HB_pct": result.byte_hit_ratio * 100.0,
-            }
-        )
-        if alpha is not None and result.hits > 0:
-            ren = analytics.renewal_observables(profile, result.hit_ratio)
-            row["alpha_R"] = ren.alpha_r
-            row["delta_H"] = ren.delta_h
-            row["k_R"] = ren.k_r
+        if args.cache_config:
+            config = _cache_config(_parse_flat_config(args.cache_config))
+            window = (
+                records
+                if args.window_days is None
+                else records[records.timestamps < profile.window_end_s]
+            )
+            result = simcache.simulate(window, config, changes)
+            lifetimes = analytics.lifetimes_from_evictions(result.evictions)
+            summary = analytics.MeasurementSummary.from_simulation(result)
+            row.update(
+                {
+                    "S_eff": config.capacity_bytes,
+                    "S_eff_over_nu_int_days": summary.size_to_traffic_days,
+                    "t_u_days": lifetimes.t_u.mean_days,
+                    "t_u_stderr_days": lifetimes.t_u.stderr_days,
+                    "T_eff_days": lifetimes.t_eff.mean_days,
+                    "T_eff_stderr_days": lifetimes.t_eff.stderr_days,
+                    "H_pct": result.hit_ratio * 100.0,
+                    "HB_pct": result.byte_hit_ratio * 100.0,
+                }
+            )
+            if alpha is not None and result.hits > 0:
+                ren = analytics.renewal_observables(profile, result.hit_ratio)
+                row["alpha_R"] = ren.alpha_r
+                row["delta_H"] = ren.delta_h
+                row["k_R"] = ren.k_r
 
-    if args.profile_out:
-        with open(args.profile_out, "w", encoding="utf-8") as f:
-            analytics.export_profile_csv(profile, f)
-    if args.out:
-        manifest = RunManifest(
-            "analyze",
-            inputs=[args.trace],
-            outputs=[args.out] + ([args.profile_out] if args.profile_out else []),
-            parameters={"window_days": args.window_days},
-        )
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(row, f, indent=2, sort_keys=True)
-            f.write("\n")
+        if args.profile_out:
+            with open(args.profile_out, "w", encoding="utf-8") as f:
+                analytics.export_profile_csv(profile, f)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as f:
+                json.dump(row, f, indent=2, sort_keys=True)
+                f.write("\n")
+        _print_json(row)
         manifest.status = "ok"
-        manifest.write(args.out)
-    _print_json(row)
-    return EXIT_OK
+        return EXIT_OK
+    finally:
+        if args.out:
+            manifest.write(args.out)
 
 
 def _parse_renewal(args) -> synth.NoRenewal | synth.TwoValuedRenewal | synth.RankDependentRenewal:
@@ -327,7 +330,8 @@ def cmd_simulate(args) -> int:
             with open(args.evictions_out, "w", encoding="utf-8") as f:
                 f.write("object_id,insert_ts,evict_ts,count\n")
                 for ev in result.evictions:
-                    f.write(f"{ev.object_id},{ev.insert_ts!r},{ev.evict_ts!r},{ev.count}\n")
+                    obj = trace._csv_field(ev.object_id)
+                    f.write(f"{obj},{ev.insert_ts!r},{ev.evict_ts!r},{ev.count}\n")
         if args.occupancy_out:
             with open(args.occupancy_out, "w", encoding="utf-8") as f:
                 f.write("timestamp_s,kernel_bytes,accessory_bytes,managing_entries\n")
@@ -604,9 +608,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, trace.TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

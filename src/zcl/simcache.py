@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -182,19 +182,33 @@ class _Stats:
         self.residency_start = now
 
 
-class _LruEngine:
-    def __init__(self, capacity: int, byte_accounting: bool, counts: dict[Hashable, int]):
-        self.capacity = capacity
-        self.byte_accounting = byte_accounting
+class _Engine:
+    """Accounting both policies share: charges, bypasses and the eviction log."""
+
+    def __init__(self, config: CacheConfig, counts: dict[Hashable, int]):
+        self.capacity = config.capacity_bytes
+        self.byte_accounting = config.byte_accounting
         self.counts = counts  # driver-maintained global request counts
-        self.entries: OrderedDict[Hashable, _Stats] = OrderedDict()
-        self.used = 0
         self.evictions: list[Eviction] = []
         self.bypassed: set[Hashable] = set()
         self.bypass_events = 0
 
     def _charge(self, size: int) -> int:
         return size if self.byte_accounting else 1
+
+    def _bypass(self, obj: Hashable):
+        self.bypassed.add(obj)
+        self.bypass_events += 1
+
+    def _log_eviction(self, obj: Hashable, stats: _Stats, now: float):
+        self.evictions.append(Eviction(obj, stats.residency_start, now, self.counts.get(obj, 0)))
+
+
+class _LruEngine(_Engine):
+    def __init__(self, config: CacheConfig, counts: dict[Hashable, int]):
+        super().__init__(config, counts)
+        self.entries: OrderedDict[Hashable, _Stats] = OrderedDict()
+        self.used = 0
 
     def access(self, obj: Hashable, now: float, size: int, fresh_fn) -> str:
         entry = self.entries.get(obj)
@@ -206,19 +220,14 @@ class _LruEngine:
             return STALE_MISS
         charge = self._charge(size)
         if charge > self.capacity:
-            self.bypassed.add(obj)
-            self.bypass_events += 1
+            self._bypass(obj)
             return MISS
-        entry = _Stats(now, size)
-        entry.resident = True
-        self.entries[obj] = entry
+        self.entries[obj] = _Stats(now, size)
         self.used += charge
         while self.used > self.capacity:
             victim_id, victim = self.entries.popitem(last=False)
             self.used -= self._charge(victim.size)
-            self.evictions.append(
-                Eviction(victim_id, victim.residency_start, now, self.counts.get(victim_id, 0))
-            )
+            self._log_eviction(victim_id, victim, now)
         return MISS
 
     def occupancy(self, now: float) -> OccupancySample:
@@ -229,12 +238,11 @@ class _LruEngine:
         assert self.used == sum(self._charge(e.size) for e in self.entries.values())
 
 
-class _ZipfEngine:
+class _ZipfEngine(_Engine):
     """Kernel + accessory + managing construction."""
 
     def __init__(self, config: CacheConfig, counts: dict[Hashable, int]):
-        self.byte_accounting = config.byte_accounting
-        self.counts = counts  # driver-maintained global request counts
+        super().__init__(config, counts)
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
         self.managing_capacity = config.managing_capacity
@@ -242,79 +250,77 @@ class _ZipfEngine:
         self.accessory: OrderedDict[Hashable, None] = OrderedDict()
         self.kernel_bytes = 0
         self.accessory_bytes = 0
-        # Lazy min-heaps; entries are revalidated against current stats on pop.
-        self._kernel_heap: list[tuple[int, float, int, Hashable]] = []
+        # Kernel objects by request count.  They enter a bucket only at their own
+        # requests, in time order, so each bucket is in last-request order.
+        self._kernel: dict[int, OrderedDict[Hashable, None]] = {}
+        self._kernel_counts: list[int] = []  # sorted counts of non-empty buckets
+        # Lazy min-heap of ghosts, revalidated on pop.  Ghosts enter in eviction
+        # order but leave by last request, so a FIFO queue would drop wrong ones.
         self._ghost_heap: list[tuple[float, int, Hashable]] = []
         self._seq = 0
         # Running mean object size, for the auto managing bound.
         self._size_sum = 0
         self._size_n = 0
-        self._total_capacity = config.capacity_bytes
-        self.evictions: list[Eviction] = []
-        self.bypassed: set[Hashable] = set()
-        self.bypass_events = 0
-
-    def _charge(self, size: int) -> int:
-        return size if self.byte_accounting else 1
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def _managing_bound(self) -> int:
         if self.managing_capacity is not None:
             return self.managing_capacity
         if not self.byte_accounting:
-            return 10 * self._total_capacity
+            return 10 * self.capacity
         mean = self._size_sum / self._size_n if self._size_n else 1.0
-        return max(100, int(10 * self._total_capacity / max(mean, 1.0)))
+        return max(100, int(10 * self.capacity / max(mean, 1.0)))
 
     def _push_ghost(self, obj: Hashable, stats: _Stats):
-        heapq.heappush(self._ghost_heap, (stats.last_request, self._next_seq(), obj))
+        self._seq += 1
+        heapq.heappush(self._ghost_heap, (stats.last_request, self._seq, obj))
 
-    def _push_kernel(self, obj: Hashable, stats: _Stats):
-        heapq.heappush(
-            self._kernel_heap, (stats.count, stats.last_request, self._next_seq(), obj)
-        )
+    def _kernel_add(self, obj: Hashable, count: int):
+        bucket = self._kernel.get(count)
+        if bucket is None:
+            bucket = self._kernel[count] = OrderedDict()
+            insort(self._kernel_counts, count)
+        bucket[obj] = None
+
+    def _kernel_remove(self, obj: Hashable, count: int):
+        bucket = self._kernel[count]
+        del bucket[obj]
+        if not bucket:
+            del self._kernel[count]
+            del self._kernel_counts[bisect_left(self._kernel_counts, count)]
 
     def _end_residency(self, obj: Hashable, stats: _Stats, now: float):
-        self.evictions.append(
-            Eviction(obj, stats.residency_start, now, self.counts.get(obj, 0))
-        )
+        self._log_eviction(obj, stats, now)
         stats.resident = False
         stats.in_kernel = False
         self._push_ghost(obj, stats)
 
     def _evict_kernel_over_capacity(self, now: float):
         while self.kernel_bytes > self.kernel_capacity:
-            count, last, _, obj = heapq.heappop(self._kernel_heap)
-            stats = self.managing.get(obj)
-            if (
-                stats is None
-                or not stats.in_kernel
-                or stats.count != count
-                or stats.last_request != last
-            ):
-                continue  # superseded heap entry
+            count = self._kernel_counts[0]
+            bucket = self._kernel[count]
+            obj, _ = bucket.popitem(last=False)
+            if not bucket:
+                del self._kernel[count]
+                del self._kernel_counts[0]
+            stats = self.managing[obj]
             self.kernel_bytes -= self._charge(stats.size)
             self._end_residency(obj, stats, now)
 
-    def _insert_kernel(self, obj: Hashable, stats: _Stats, now: float) -> str:
+    def _insert_kernel(self, obj: Hashable, stats: _Stats, now: float) -> bool:
         """Place an object (residency fields already set) into the kernel.
 
-        Returns "resident", "too_big" (cannot fit even an empty kernel), or
-        "evicted" (inserted but immediately chosen as the minimum; the
-        zero-length residency has been logged).
+        False if it cannot fit even an empty kernel.  An object that is itself
+        the minimum leaves again at once; that zero-length residency is logged.
         """
         charge = self._charge(stats.size)
         if charge > self.kernel_capacity:
-            return "too_big"
+            return False
         stats.resident = True
         stats.in_kernel = True
         self.kernel_bytes += charge
-        self._push_kernel(obj, stats)
+        self._kernel_add(obj, stats.count)
         self._evict_kernel_over_capacity(now)
-        return "resident" if stats.resident else "evicted"
+        return True
 
     def _insert_accessory(self, obj: Hashable, stats: _Stats, now: float) -> bool:
         charge = self._charge(stats.size)
@@ -354,8 +360,7 @@ class _ZipfEngine:
             self._size_sum += self._charge(size)
             self._size_n += 1
             if not self._insert_accessory(obj, stats, now):
-                self.bypassed.add(obj)
-                self.bypass_events += 1
+                self._bypass(obj)
                 self._push_ghost(obj, stats)
             self._enforce_managing_bound()
             return MISS
@@ -368,15 +373,15 @@ class _ZipfEngine:
             if not fresh:
                 stats.last_fetch = now
             if stats.in_kernel:
-                self._push_kernel(obj, stats)  # refresh recency/count key
+                self._kernel_remove(obj, stats.count - 1)
+                self._kernel_add(obj, stats.count)
             else:
                 # Promotion: a repeat request moves it from accessory to the
                 # kernel; residency_start is kept, so residence spans both parts.
                 del self.accessory[obj]
                 self.accessory_bytes -= self._charge(stats.size)
-                if self._insert_kernel(obj, stats, now) == "too_big":
-                    self.bypassed.add(obj)
-                    self.bypass_events += 1
+                if not self._insert_kernel(obj, stats, now):
+                    self._bypass(obj)
                     self._end_residency(obj, stats, now)
             return HIT if fresh else STALE_MISS
 
@@ -384,9 +389,8 @@ class _ZipfEngine:
         # copy goes straight into the kernel.
         stats.last_fetch = now
         stats.residency_start = now
-        if self._insert_kernel(obj, stats, now) == "too_big":
-            self.bypassed.add(obj)
-            self.bypass_events += 1
+        if not self._insert_kernel(obj, stats, now):
+            self._bypass(obj)
             self._push_ghost(obj, stats)
         return MISS
 
@@ -410,6 +414,11 @@ class _ZipfEngine:
         assert k_bytes == self.kernel_bytes and a_bytes == self.accessory_bytes
         for obj in self.accessory:
             assert self.managing[obj].resident and not self.managing[obj].in_kernel
+        kernel = {o: st.count for o, st in self.managing.items() if st.resident and st.in_kernel}
+        assert all(self._kernel.values()), "empty kernel bucket"
+        assert sum(map(len, self._kernel.values())) == len(kernel), "kernel object in two buckets"
+        assert {o: c for c, b in self._kernel.items() for o in b} == kernel, "kernel buckets"
+        assert self._kernel_counts == sorted(self._kernel), "kernel count list"
 
 
 class CacheSim:
@@ -429,12 +438,8 @@ class CacheSim:
         self.config = config
         self._changes = changes or {}
         self._counts: dict[Hashable, int] = {}
-        if config.policy is Policy.LRU:
-            self._engine = _LruEngine(
-                config.capacity_bytes, config.byte_accounting, self._counts
-            )
-        else:
-            self._engine = _ZipfEngine(config, self._counts)
+        engine = _LruEngine if config.policy is Policy.LRU else _ZipfEngine
+        self._engine = engine(config, self._counts)
         self._result = SimulationResult(
             policy=config.policy,
             capacity_bytes=config.capacity_bytes,

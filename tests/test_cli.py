@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zcl
 from zcl.cli import main
-from zcl.trace import read_canonical_csv
+from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
+from zcl.trace import _csv_field, read_canonical_csv, write_canonical_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -187,6 +191,20 @@ def test_simulate_writes_eviction_and_occupancy_csv(tmp_path):
     assert occ_lines[0] == "timestamp_s,kernel_bytes,accessory_bytes,managing_entries"
 
 
+def test_simulate_eviction_csv_quotes_awkward_ids(tmp_path):
+    ids = ["a,b", 'say "hi"', "plain"]
+    rows = [f"{t},c0,{_csv_field(obj)},1,1\n" for t, obj in enumerate(ids * 2)]
+    trace = trace_csv(tmp_path / "t.csv", rows)
+    cfg = objects_cfg(tmp_path / "c.cfg", 1)
+    ev = str(tmp_path / "ev.csv")
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json"),
+                 "--evictions-out", ev]) == 0
+    with open(ev, newline="", encoding="utf-8") as f:
+        got = list(csv.reader(f))
+    assert all(len(fields) == 4 for fields in got)
+    assert [fields[0] for fields in got[1:]] == (ids * 2)[:-1]
+
+
 def test_simulate_multi_config_fans_out(tmp_path):
     rows = [row(float(t), f"o{t % 6}") for t in range(60)]
     trace = trace_csv(tmp_path / "t.csv", rows)
@@ -296,6 +314,15 @@ def test_manifest_written_on_partial_failure(tmp_path):
     assert manifest["outputs"] == [out]
 
 
+def test_analyze_manifest_written_on_failure(tmp_path):
+    trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A", cacheable=0)])
+    out = str(tmp_path / "row.json")
+    assert main(["analyze", trace, "--out", out]) == 2
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert manifest["outputs"] == [out]
+
+
 def test_manifest_lists_every_output(tmp_path):
     rows = [row(float(t), f"o{t % 3}") for t in range(9)]
     trace = trace_csv(tmp_path / "t.csv", rows)
@@ -390,3 +417,52 @@ def test_ingest_output_bytes_pinned(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert main(["ingest", log, str(out)]) == 0
     assert sha256(out) == INGEST_DIGEST
+
+
+# SHA-256 of the --evictions-out and --occupancy-out files for configs with
+# heavy eviction, on a trace whose timestamps are rounded to 10 minutes so
+# that many requests tie; any change to victim order or tie-breaking moves them.
+EVICTION_CONFIGS = {
+    "zc_objects_managed": (
+        "capacity_bytes=20\npolicy=zipf_construction\nbyte_accounting=false\n"
+        "managing_capacity=30\noccupancy_stride=97\n"
+    ),
+    "zc_bytes": (
+        "capacity_bytes=300000\npolicy=zipf_construction\nkernel_fraction=0.5\n"
+        "occupancy_stride=97\n"
+    ),
+    "lru_bytes": "capacity_bytes=300000\npolicy=lru\noccupancy_stride=97\n",
+}
+EVICTION_DIGESTS = {
+    "zc_objects_managed": (
+        "82cb181896c9908d697388453c945fa8bb7329a81ed43919a2f2b76eefe51bb0",
+        "c3ba5cadf28f269be89c763d094a4c35cd053044ba21edbab38a261d80451014",
+    ),
+    "zc_bytes": (
+        "466c09ecfb2bc9f2c52eb38587e747df9a096eaa4dc3197bc74095bc5346d734",
+        "9d6a4c38ac1284182af9f8008871a6826b64dd3186054ca97c380b5f17bca2fb",
+    ),
+    "lru_bytes": (
+        "c398787995fa42c50d7d61df9feeac3cbce3f580f6f8f71b2538cf46181b3533",
+        "ba7276d734d711716f4a2718f94b40baebe8ff3766baa1d7853751dfa3633253",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(EVICTION_CONFIGS))
+def test_simulate_eviction_and_occupancy_bytes_pinned(tmp_path, capsys, label):
+    spec = SyntheticWorkloadSpec(
+        universe_size=300, zipf_alpha=0.7, clients=3, per_client_rate=1500.0,
+        horizon_days=2.0, cacheable_fraction=0.85, seed=21,
+    )
+    records = generate_synthetic_trace(spec).records
+    tied = dataclasses.replace(records, timestamps=np.floor(records.timestamps / 600.0) * 600.0)
+    trace = tmp_path / "t.csv"
+    with open(trace, "w", encoding="utf-8") as f:
+        write_canonical_csv(tied, f)
+    cfg = write(tmp_path / "c.cfg", EVICTION_CONFIGS[label])
+    ev, occ = tmp_path / "ev.csv", tmp_path / "occ.csv"
+    assert main(["simulate", str(trace), cfg, "--out", str(tmp_path / "r.json"),
+                 "--evictions-out", str(ev), "--occupancy-out", str(occ)]) == 0
+    assert len(ev.read_text().splitlines()) > 1000
+    assert (sha256(ev), sha256(occ)) == EVICTION_DIGESTS[label]

@@ -189,6 +189,16 @@ def test_kernel_eviction_prefers_low_count_then_stale_recency():
     sim.check_invariants()
 
 
+def test_kernel_ties_leave_in_order_of_reaching_the_count():
+    # Kernel of 2, every request at one timestamp.  B is admitted before A,
+    # but A reaches count 2 first, so A is the first count-2 victim.
+    sim = CacheSim(objects_config(6, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.34))
+    for obj in ["B", "A", "A", "B", "C", "C", "D", "D"]:
+        sim.process(rec(7, obj))
+        sim.check_invariants()
+    assert [e.object_id for e in sim._engine.evictions] == ["A", "B"]
+
+
 def test_managing_never_drops_resident_entries():
     config = objects_config(4, Policy.ZIPF_CONSTRUCTION, managing_capacity=3)
     sim = CacheSim(config)
@@ -364,6 +374,7 @@ def test_simulate_equals_per_event_process(case):
     sim = CacheSim(config, changes)
     for r in records:
         sim.process(r)
+        sim.check_invariants()
     expected = sim.result()
     for block in (1, 7, 1 << 16):  # replay blocks of one, several and all requests
         with mock.patch.object(simcache_module, "_REPLAY_BLOCK", block):
