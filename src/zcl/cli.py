@@ -1,14 +1,19 @@
 """Command-line front end.
 
 Subcommands: ingest, analyze, synth, simulate, model, report.  Exit codes:
-0 ok, 1 internal error, 2 input/format error.  Every command that writes
-files also writes `<out>.manifest.json` recording inputs, parameters and
-outputs, even when the command fails half way.
+0 ok, 1 internal error, 2 input/format error.  Each subcommand declares
+which of its arguments name files it reads and files it writes; `main()`
+builds the run's manifest from those declarations (inputs: every file read,
+configs and change logs included; outputs: every file written; parameters:
+every other argument; seed: `--seed`) and writes it next to the first
+output as `<out>.manifest.json`, even when the command fails half way.
+`report` writes into a directory and anchors it at `<out-dir>/report`.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -26,6 +31,11 @@ class InputError(ValueError):
     """User-supplied file or flag value is unusable."""
 
 
+def _dump_json(payload, f):
+    json.dump(payload, f, indent=2, sort_keys=True)
+    f.write("\n")
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -40,15 +50,9 @@ class RunManifest:
         path = anchor_path + ".manifest.json"
         try:
             with open(path, "w", encoding="utf-8") as f:
-                json.dump(self.__dict__, f, indent=2, sort_keys=True)
-                f.write("\n")
+                _dump_json(self.__dict__, f)
         except OSError as exc:  # manifest is best effort, never the failure itself
             print(f"warning: cannot write manifest {path}: {exc}", file=sys.stderr)
-
-
-def _print_json(payload: dict):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
 
 
 def _load_trace(path: str) -> trace.Trace:
@@ -129,102 +133,85 @@ def _cache_config(pairs: dict[str, str]) -> simcache.CacheConfig:
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    manifest = RunManifest("ingest", inputs=[args.squid_log], outputs=[args.out])
-    parsed = None
+def cmd_ingest(args, manifest) -> int:
+    manifest.parameters["malformed"] = None  # unknown until the log parses
     try:
-        try:
-            with open(args.squid_log, encoding="utf-8", errors="replace") as f:
-                parsed = trace.parse_squid_log(f)
-        except OSError as exc:
-            raise InputError(f"cannot read {args.squid_log}: {exc}")
-        if not parsed.records:
-            raise InputError(f"no usable records in {args.squid_log}")
-        with open(args.out, "w", encoding="utf-8") as out:
-            written = trace.write_canonical_csv(parsed.records, out)
-        print(f"{written} records, {parsed.malformed} malformed")
-        manifest.status = "ok"
-        return EXIT_OK
-    finally:
-        manifest.parameters = {"malformed": parsed.malformed if parsed else None}
-        manifest.write(args.out)
+        with open(args.squid_log, encoding="utf-8", errors="replace") as f:
+            parsed = trace.parse_squid_log(f)
+    except OSError as exc:
+        raise InputError(f"cannot read {args.squid_log}: {exc}")
+    manifest.parameters["malformed"] = parsed.malformed
+    if not parsed.records:
+        raise InputError(f"no usable records in {args.squid_log}")
+    with open(args.out, "w", encoding="utf-8") as out:
+        written = trace.write_canonical_csv(parsed.records, out)
+    print(f"{written} records, {parsed.malformed} malformed")
+    return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    manifest = RunManifest(
-        "analyze",
-        inputs=[args.trace],
-        outputs=[args.out] + ([args.profile_out] if args.profile_out else []),
-        parameters={"window_days": args.window_days},
-    )
-    try:
-        records = _load_trace(args.trace)
-        changes = _load_changes(args.changes)
-        profile = analytics.build_popularity_profile(records, args.window_days)
+def cmd_analyze(args, manifest) -> int:
+    records = _load_trace(args.trace)
+    changes = _load_changes(args.changes)
+    profile = analytics.build_popularity_profile(records, args.window_days)
 
-        alpha = None
-        if profile.M > 0:
-            alpha = analytics.estimate_alpha(profile)
-        else:
-            print("warning: no object requested twice, alpha undefined", file=sys.stderr)
+    alpha = None
+    if profile.M > 0:
+        alpha = analytics.estimate_alpha(profile)
+    else:
+        print("warning: no object requested twice, alpha undefined", file=sys.stderr)
 
-        row: dict = {
-            "S_eff_over_nu_int_days": None,
-            "S_eff": None,
-            "alpha": alpha,
-            "t_u_days": None,
-            "t_u_stderr_days": None,
-            "T_eff_days": None,
-            "T_eff_stderr_days": None,
-            "p_c": profile.k / profile.K if profile.K else None,
-            "M": profile.M,
-            "p": profile.p,
-            "k": profile.k,
-            "K": profile.K,
-            "T_st_days": profile.window_days,
-        }
+    row: dict = {
+        "S_eff_over_nu_int_days": None,
+        "S_eff": None,
+        "alpha": alpha,
+        "t_u_days": None,
+        "t_u_stderr_days": None,
+        "T_eff_days": None,
+        "T_eff_stderr_days": None,
+        "p_c": profile.k / profile.K if profile.K else None,
+        "M": profile.M,
+        "p": profile.p,
+        "k": profile.k,
+        "K": profile.K,
+        "T_st_days": profile.window_days,
+    }
 
-        if args.cache_config:
-            config = _cache_config(_parse_flat_config(args.cache_config))
-            window = (
-                records
-                if args.window_days is None
-                else records[records.timestamps < profile.window_end_s]
-            )
-            result = simcache.simulate(window, config, changes)
-            lifetimes = analytics.lifetimes_from_evictions(result.evictions)
-            summary = analytics.MeasurementSummary.from_simulation(result)
-            row.update(
-                {
-                    "S_eff": config.capacity_bytes,
-                    "S_eff_over_nu_int_days": summary.size_to_traffic_days,
-                    "t_u_days": lifetimes.t_u.mean_days,
-                    "t_u_stderr_days": lifetimes.t_u.stderr_days,
-                    "T_eff_days": lifetimes.t_eff.mean_days,
-                    "T_eff_stderr_days": lifetimes.t_eff.stderr_days,
-                    "H_pct": result.hit_ratio * 100.0,
-                    "HB_pct": result.byte_hit_ratio * 100.0,
-                }
-            )
-            if alpha is not None and result.hits > 0:
-                ren = analytics.renewal_observables(profile, result.hit_ratio)
-                row["alpha_R"] = ren.alpha_r
-                row["delta_H"] = ren.delta_h
-                row["k_R"] = ren.k_r
+    if args.cache_config:
+        config = _cache_config(_parse_flat_config(args.cache_config))
+        window = (
+            records
+            if args.window_days is None
+            else records[records.timestamps < profile.window_end_s]
+        )
+        result = simcache.simulate(window, config, changes)
+        lifetimes = analytics.lifetimes_from_evictions(result.evictions)
+        summary = analytics.MeasurementSummary.from_simulation(result)
+        row.update(
+            {
+                "S_eff": config.capacity_bytes,
+                "S_eff_over_nu_int_days": summary.size_to_traffic_days,
+                "t_u_days": lifetimes.t_u.mean_days,
+                "t_u_stderr_days": lifetimes.t_u.stderr_days,
+                "T_eff_days": lifetimes.t_eff.mean_days,
+                "T_eff_stderr_days": lifetimes.t_eff.stderr_days,
+                "H_pct": result.hit_ratio * 100.0,
+                "HB_pct": result.byte_hit_ratio * 100.0,
+            }
+        )
+        if alpha is not None and result.hits > 0:
+            ren = analytics.renewal_observables(profile, result.hit_ratio)
+            row["alpha_R"] = ren.alpha_r
+            row["delta_H"] = ren.delta_h
+            row["k_R"] = ren.k_r
 
-        if args.profile_out:
-            with open(args.profile_out, "w", encoding="utf-8") as f:
-                analytics.export_profile_csv(profile, f)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as f:
-                json.dump(row, f, indent=2, sort_keys=True)
-                f.write("\n")
-        _print_json(row)
-        manifest.status = "ok"
-        return EXIT_OK
-    finally:
-        if args.out:
-            manifest.write(args.out)
+    if args.profile_out:
+        with open(args.profile_out, "w", encoding="utf-8") as f:
+            analytics.export_profile_csv(profile, f)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            _dump_json(row, f)
+    _dump_json(row, sys.stdout)
+    return EXIT_OK
 
 
 def _parse_renewal(args) -> synth.NoRenewal | synth.TwoValuedRenewal | synth.RankDependentRenewal:
@@ -241,47 +228,29 @@ def _parse_renewal(args) -> synth.NoRenewal | synth.TwoValuedRenewal | synth.Ran
     raise InputError(f"unknown renewal kind {args.renewal!r}")
 
 
-def cmd_synth(args) -> int:
-    manifest = RunManifest(
-        "synth",
-        outputs=[args.out] + ([args.changes_out] if args.changes_out else []),
+def cmd_synth(args, manifest) -> int:
+    spec = synth.SyntheticWorkloadSpec(
+        universe_size=args.universe,
+        zipf_alpha=args.alpha,
+        clients=args.clients,
+        per_client_rate=args.rate,
+        horizon_days=args.days,
+        cacheable_fraction=args.cacheable_fraction,
+        renewal=_parse_renewal(args),
+        size_mean_bytes=args.size_mean,
+        size_sigma=args.size_sigma,
         seed=args.seed,
-        parameters={
-            "universe": args.universe,
-            "alpha": args.alpha,
-            "clients": args.clients,
-            "rate": args.rate,
-            "days": args.days,
-            "cacheable_fraction": args.cacheable_fraction,
-            "renewal": args.renewal,
-        },
     )
-    try:
-        spec = synth.SyntheticWorkloadSpec(
-            universe_size=args.universe,
-            zipf_alpha=args.alpha,
-            clients=args.clients,
-            per_client_rate=args.rate,
-            horizon_days=args.days,
-            cacheable_fraction=args.cacheable_fraction,
-            renewal=_parse_renewal(args),
-            size_mean_bytes=args.size_mean,
-            size_sigma=args.size_sigma,
-            seed=args.seed,
-        )
-        generated = synth.generate_synthetic_trace(spec)
-        with open(args.out, "w", encoding="utf-8") as f:
-            written = trace.write_canonical_csv(generated.records, f)
-        if args.changes_out:
-            with open(args.changes_out, "w", encoding="utf-8") as f:
-                n_changes = trace.write_change_log_csv(generated.changes, f)
-        else:
-            n_changes = sum(len(v) for v in generated.changes.values())
-        print(f"{written} records, {n_changes} change events")
-        manifest.status = "ok"
-        return EXIT_OK
-    finally:
-        manifest.write(args.out)
+    generated = synth.generate_synthetic_trace(spec)
+    with open(args.out, "w", encoding="utf-8") as f:
+        written = trace.write_canonical_csv(generated.records, f)
+    if args.changes_out:
+        with open(args.changes_out, "w", encoding="utf-8") as f:
+            n_changes = trace.write_change_log_csv(generated.changes, f)
+    else:
+        n_changes = sum(len(v) for v in generated.changes.values())
+    print(f"{written} records, {n_changes} change events")
+    return EXIT_OK
 
 
 def _simulation_payload(result: simcache.SimulationResult, config: simcache.CacheConfig) -> dict:
@@ -302,51 +271,39 @@ def _simulation_payload(result: simcache.SimulationResult, config: simcache.Cach
     return payload
 
 
-def cmd_simulate(args) -> int:
-    outputs = [args.out]
+def cmd_simulate(args, manifest) -> int:
+    if len(args.configs) > 1 and (args.evictions_out or args.occupancy_out):
+        raise InputError("eviction/occupancy dumps need a single config")
+    records = _load_trace(args.trace)
+    changes = _load_changes(args.changes)
+    configs = [_cache_config(_parse_flat_config(path)) for path in args.configs]
+    results = simcache.compare_policies(records, configs, changes)
+    payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
+    out_doc = payloads[0] if len(payloads) == 1 else payloads
+    with open(args.out, "w", encoding="utf-8") as f:
+        _dump_json(out_doc, f)
+    result = results[0]
     if args.evictions_out:
-        outputs.append(args.evictions_out)
+        with open(args.evictions_out, "w", encoding="utf-8") as f:
+            rows = csv.writer(f, lineterminator="\n")
+            rows.writerow(("object_id", "insert_ts", "evict_ts", "count"))
+            rows.writerows(
+                (ev.object_id, repr(ev.insert_ts), repr(ev.evict_ts), ev.count)
+                for ev in result.evictions
+            )
     if args.occupancy_out:
-        outputs.append(args.occupancy_out)
-    manifest = RunManifest(
-        "simulate", inputs=[args.trace, *args.configs], outputs=outputs
-    )
-    try:
-        if len(args.configs) > 1 and (args.evictions_out or args.occupancy_out):
-            raise InputError("eviction/occupancy dumps need a single config")
-        records = _load_trace(args.trace)
-        changes = _load_changes(args.changes)
-        if args.changes:
-            manifest.inputs.append(args.changes)
-        configs = [_cache_config(_parse_flat_config(path)) for path in args.configs]
-        results = simcache.compare_policies(records, configs, changes)
-        payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
-        out_doc = payloads[0] if len(payloads) == 1 else payloads
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(out_doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-        result = results[0]
-        if args.evictions_out:
-            with open(args.evictions_out, "w", encoding="utf-8") as f:
-                f.write("object_id,insert_ts,evict_ts,count\n")
-                for ev in result.evictions:
-                    obj = trace._csv_field(ev.object_id)
-                    f.write(f"{obj},{ev.insert_ts!r},{ev.evict_ts!r},{ev.count}\n")
-        if args.occupancy_out:
-            with open(args.occupancy_out, "w", encoding="utf-8") as f:
-                f.write("timestamp_s,kernel_bytes,accessory_bytes,managing_entries\n")
-                for s in result.occupancy:
-                    f.write(
-                        f"{s.timestamp!r},{s.kernel_bytes},{s.accessory_bytes},{s.managing_entries}\n"
-                    )
-        _print_json(out_doc if isinstance(out_doc, dict) else {"results": out_doc})
-        manifest.status = "ok"
-        return EXIT_OK
-    finally:
-        manifest.write(args.out)
+        with open(args.occupancy_out, "w", encoding="utf-8") as f:
+            rows = csv.writer(f, lineterminator="\n")
+            rows.writerow(("timestamp_s", "kernel_bytes", "accessory_bytes", "managing_entries"))
+            rows.writerows(
+                (repr(s.timestamp), s.kernel_bytes, s.accessory_bytes, s.managing_entries)
+                for s in result.occupancy
+            )
+    _dump_json(out_doc if isinstance(out_doc, dict) else {"results": out_doc}, sys.stdout)
+    return EXIT_OK
 
 
-def cmd_model(args) -> int:
+def cmd_model(args, manifest) -> int:
     sub = args.model_command
     echo = {k: v for k, v in vars(args).items() if k not in ("func", "command", "model_command") and v is not None}
     if sub == "ideal-hit":
@@ -386,21 +343,23 @@ def cmd_model(args) -> int:
         value = model.kernel_size(args.alpha, args.hit_ratio, args.nu_out, args.t_eff)
     elif sub == "ratio":
         r = model.kernel_accessory_ratio(args.alpha, args.t_eff, args.t_u, args.m, args.universe)
-        _print_json({"inputs": echo, "analytic": r.analytic, "empirical": r.empirical})
+        payload = {"inputs": echo, "analytic": r.analytic, "empirical": r.empirical}
+        _dump_json(payload, sys.stdout)
         return EXIT_OK
     elif sub == "residuals":
         r_m, r_p = model.special_point_residuals(args.a, args.k_r, args.m, args.universe, args.alpha_r)
-        _print_json({"inputs": echo, "residual_M": r_m, "residual_p": r_p})
+        _dump_json({"inputs": echo, "residual_M": r_m, "residual_p": r_p}, sys.stdout)
         return EXIT_OK
     elif sub == "growth":
         value = analytics.alpha_growth_constant(args.alpha1, args.t1, args.alpha2, args.t2)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown model subcommand {sub!r}")
-    _print_json({"inputs": echo, "value": value})
+    _dump_json({"inputs": echo, "value": value}, sys.stdout)
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, manifest) -> int:
+    os.makedirs(args.out_dir, exist_ok=True)  # holds the manifest even if the run fails
     rows = []
     for path in args.results:
         try:
@@ -413,72 +372,64 @@ def cmd_report(args) -> int:
     if not rows:
         raise InputError("empty result set")
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    manifest = RunManifest("report", inputs=list(args.results), parameters={"alpha": args.alpha})
-    outputs = []
-    try:
-        sized = [r for r in rows if r.get("S_eff_over_nu_int_days") is not None]
-        sized.sort(key=lambda r: r["S_eff_over_nu_int_days"])
+    outputs = manifest.outputs
+    sized = [r for r in rows if r.get("S_eff_over_nu_int_days") is not None]
+    sized.sort(key=lambda r: r["S_eff_over_nu_int_days"])
 
-        lifetimes = [r for r in sized if r.get("t_u_days") is not None]
-        if lifetimes:
-            path = os.path.join(args.out_dir, "lifetimes_vs_size.csv")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("S_eff_over_nu_int_days,t_u_days,T_eff_days\n")
-                for r in lifetimes:
-                    f.write(
-                        f"{r['S_eff_over_nu_int_days']},{r['t_u_days']},{r.get('T_eff_days')}\n"
-                    )
-            outputs.append(path)
+    lifetimes = [r for r in sized if r.get("t_u_days") is not None]
+    if lifetimes:
+        path = os.path.join(args.out_dir, "lifetimes_vs_size.csv")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("S_eff_over_nu_int_days,t_u_days,T_eff_days\n")
+            for r in lifetimes:
+                f.write(
+                    f"{r['S_eff_over_nu_int_days']},{r['t_u_days']},{r.get('T_eff_days')}\n"
+                )
+        outputs.append(path)
 
-        hits = [r for r in sized if r.get("H_pct") is not None]
-        if hits:
-            anchor = hits[0]
-            path = os.path.join(args.out_dir, "hit_ratio_vs_size.csv")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("S_eff_over_nu_int_days,H_pct,HB_pct,H_powerlaw_pct\n")
-                for r in hits:
-                    pred = model.hit_scaling(
-                        anchor["H_pct"],
-                        anchor["S_eff_over_nu_int_days"],
-                        r["S_eff_over_nu_int_days"],
-                        args.alpha,
-                    )
-                    f.write(
-                        f"{r['S_eff_over_nu_int_days']},{r['H_pct']},{r.get('HB_pct')},{pred}\n"
-                    )
-            outputs.append(path)
+    hits = [r for r in sized if r.get("H_pct") is not None]
+    if hits:
+        anchor = hits[0]
+        path = os.path.join(args.out_dir, "hit_ratio_vs_size.csv")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("S_eff_over_nu_int_days,H_pct,HB_pct,H_powerlaw_pct\n")
+            for r in hits:
+                pred = model.hit_scaling(
+                    anchor["H_pct"],
+                    anchor["S_eff_over_nu_int_days"],
+                    r["S_eff_over_nu_int_days"],
+                    args.alpha,
+                )
+                f.write(
+                    f"{r['S_eff_over_nu_int_days']},{r['H_pct']},{r.get('HB_pct')},{pred}\n"
+                )
+        outputs.append(path)
 
-        renewal = [
-            r
-            for r in rows
-            if r.get("alpha") is not None and r.get("alpha_R") is not None and r.get("p")
-        ]
-        for i, r in enumerate(renewal):
-            suffix = f"_{i}" if len(renewal) > 1 else ""
-            path = os.path.join(args.out_dir, f"renewal_profile{suffix}.csv")
-            p = float(r["p"])
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("log10_rank,log10_count_ideal,log10_count_renewal\n")
-                steps = 50
-                for j in range(steps + 1):
-                    lg = j * math.log10(p) / steps
-                    rank = 10.0**lg
-                    ideal = r["alpha"] * math.log10(p / rank)
-                    real = r["alpha_R"] * math.log10(p / rank)
-                    f.write(f"{lg},{ideal},{real}\n")
-            outputs.append(path)
+    renewal = [
+        r
+        for r in rows
+        if r.get("alpha") is not None and r.get("alpha_R") is not None and r.get("p")
+    ]
+    for i, r in enumerate(renewal):
+        suffix = f"_{i}" if len(renewal) > 1 else ""
+        path = os.path.join(args.out_dir, f"renewal_profile{suffix}.csv")
+        p = float(r["p"])
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("log10_rank,log10_count_ideal,log10_count_renewal\n")
+            steps = 50
+            for j in range(steps + 1):
+                lg = j * math.log10(p) / steps
+                rank = 10.0**lg
+                ideal = r["alpha"] * math.log10(p / rank)
+                real = r["alpha_R"] * math.log10(p / rank)
+                f.write(f"{lg},{ideal},{real}\n")
+        outputs.append(path)
 
-        if not outputs:
-            raise InputError("result set has no plottable fields")
-        for path in outputs:
-            print(path)
-        manifest.status = "ok"
-        manifest.outputs = outputs
-        return EXIT_OK
-    finally:
-        manifest.outputs = outputs
-        manifest.write(os.path.join(args.out_dir, "report"))
+    if not outputs:
+        raise InputError("result set has no plottable fields")
+    for path in outputs:
+        print(path)
+    return EXIT_OK
 
 
 # --- argument wiring ---------------------------------------------------------
@@ -492,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="convert a Squid access log to canonical CSV")
     p.add_argument("squid_log")
     p.add_argument("out")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, reads=("squid_log",), writes=("out",))
 
     p = sub.add_parser("analyze", help="popularity profile and observables of a trace")
     p.add_argument("trace")
@@ -501,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--changes", help="change-event CSV for renewal-aware replay")
     p.add_argument("--profile-out", help="write rank,object_id,count CSV")
     p.add_argument("--out", help="write the JSON row here as well as stdout")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(
+        func=cmd_analyze, reads=("trace", "cache_config", "changes"), writes=("out", "profile_out")
+    )
 
     p = sub.add_parser("synth", help="generate a synthetic workload")
     p.add_argument("--universe", type=int, required=True)
@@ -521,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--changes-out")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, reads=(), writes=("out", "changes_out"))
 
     p = sub.add_parser(
         "simulate", help="replay a trace through one or more cache configurations"
@@ -532,7 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--evictions-out")
     p.add_argument("--occupancy-out")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(
+        func=cmd_simulate,
+        reads=("trace", "configs", "changes"),
+        writes=("out", "evictions_out", "occupancy_out"),
+    )
 
     p = sub.add_parser("model", help="evaluate a closed-form relation")
     msub = p.add_subparsers(dest="model_command", required=True)
@@ -598,22 +555,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("results", nargs="*")
     p.add_argument("--alpha", type=float, default=0.77, help="power-law overlay exponent")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, reads=("results",), writes=("out_dir",))
 
     return parser
+
+
+def _paths(args, names) -> list[str]:
+    """Paths held by the named arguments, in order; unset ones are skipped."""
+    paths: list[str] = []
+    for name in names:
+        value = getattr(args, name)
+        if value is not None:
+            paths += value if isinstance(value, list) else [value]
+    return paths
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # `model` declares no files: it writes none, and its JSON echoes vars(args).
+    reads, writes = getattr(args, "reads", ()), getattr(args, "writes", ())
+    declared = {"func", "command", "reads", "writes", "seed", *reads, *writes}
+    manifest = RunManifest(
+        args.command,
+        inputs=_paths(args, reads),
+        outputs=_paths(args, writes),
+        parameters={k: v for k, v in vars(args).items() if k not in declared},
+        seed=getattr(args, "seed", None),
+    )
+    anchor = manifest.outputs[0] if manifest.outputs else None
+    if writes and writes[0].endswith("_dir"):
+        # A directory: the manifest goes inside it and the command lists its files.
+        anchor, manifest.outputs = os.path.join(anchor, args.command), []
     try:
-        return args.func(args)
+        code = args.func(args, manifest)
+        manifest.status = "ok"
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if anchor is not None:
+            manifest.write(anchor)
 
 
 if __name__ == "__main__":

@@ -49,8 +49,7 @@ DEFAULT_HIT_PREFIXES = (
 )
 
 # Action codes that never correspond to a storable document.  Anything not
-# matched here (and not a CONNECT tunnel) is treated as cacheable; override
-# the mapping if the deployment logged differently.
+# matched here (and not a CONNECT tunnel) is treated as cacheable.
 DEFAULT_UNCACHEABLE_ACTIONS = (
     "TCP_DENIED",
     "UDP_DENIED",
@@ -203,11 +202,7 @@ class ParsedLog:
     total_lines: int
 
 
-def parse_squid_log(
-    stream: Iterable[str],
-    hit_prefixes: Sequence[str] = DEFAULT_HIT_PREFIXES,
-    uncacheable_actions: Sequence[str] = DEFAULT_UNCACHEABLE_ACTIONS,
-) -> ParsedLog:
+def parse_squid_log(stream: Iterable[str]) -> ParsedLog:
     """Parse a native Squid access log into canonical records.
 
     Expected line layout (whitespace separated):
@@ -221,8 +216,6 @@ def parse_squid_log(
     A byte count below 1 is clamped to 1.  CONNECT tunnels are uncacheable
     regardless of the action code.
     """
-    hit_prefixes = tuple(hit_prefixes)
-    uncacheable_actions = tuple(uncacheable_actions)
     timestamps: list[float] = []
     clients: list[str] = []
     urls: list[str] = []
@@ -254,9 +247,9 @@ def parse_squid_log(
         urls.append(fields[6])
         sizes.append(max(1, size))
         cacheable.append(
-            fields[5].upper() != "CONNECT" and not action.startswith(uncacheable_actions)
+            fields[5].upper() != "CONNECT" and not action.startswith(DEFAULT_UNCACHEABLE_ACTIONS)
         )
-        origin.append(action.startswith(hit_prefixes))
+        origin.append(action.startswith(DEFAULT_HIT_PREFIXES))
     if total > 0 and malformed * 2 > total:
         raise TraceFormatError(
             f"{malformed} of {total} lines malformed; not a Squid access log?"

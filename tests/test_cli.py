@@ -335,6 +335,117 @@ def test_manifest_lists_every_output(tmp_path):
     assert manifest["outputs"] == [out, ev]
 
 
+# Every file-writing command, on success and on failure: the manifest that
+# main() builds from the files each subcommand declares.  Paths are relative
+# to the working directory, as a user would type them.
+SYNTH_ARGS = ["synth", "--universe", "50", "--alpha", "0.7", "--rate", "500",
+              "--renewal", "rank", "--alpha-r", "0.6", "--size-mean", "999", "--seed", "4"]
+SYNTH_PARAMETERS = {
+    "universe": 50, "alpha": 0.7, "clients": 1, "rate": 500.0, "days": 1.0,
+    "cacheable_fraction": 1.0, "renewal": "rank", "alpha_r": 0.6, "renewal_window": None,
+    "mu_popular": None, "mu_unpopular": None, "popular_cutoff": None,
+    "size_mean": 999.0, "size_sigma": 1.0,
+}
+MANIFEST_CASES = {
+    "ingest": (
+        ["ingest", "access.log", "out.csv"], "out.csv", 0,
+        (["access.log"], ["out.csv"], {"malformed": 1}, "ok"),
+    ),
+    "ingest_missing_log": (
+        ["ingest", "nope.log", "out.csv"], "out.csv", 2,
+        (["nope.log"], ["out.csv"], {"malformed": None}, "incomplete"),
+    ),
+    "analyze_config_and_changes": (
+        ["analyze", "t.csv", "--cache-config", "c.cfg", "--changes", "ch.csv", "--out", "r.json"],
+        "r.json", 0,
+        (["t.csv", "c.cfg", "ch.csv"], ["r.json"], {"window_days": None}, "ok"),
+    ),
+    "analyze_profile_out_alone": (
+        ["analyze", "t.csv", "--window-days", "1", "--profile-out", "p.csv"], "p.csv", 0,
+        (["t.csv"], ["p.csv"], {"window_days": 1.0}, "ok"),
+    ),
+    "analyze_all_uncacheable": (
+        ["analyze", "u.csv", "--out", "r.json", "--profile-out", "p.csv"], "r.json", 2,
+        (["u.csv"], ["r.json", "p.csv"], {"window_days": None}, "incomplete"),
+    ),
+    "synth": (
+        SYNTH_ARGS + ["--out", "s.csv", "--changes-out", "s_ch.csv"], "s.csv", 0,
+        ([], ["s.csv", "s_ch.csv"], SYNTH_PARAMETERS, "ok"),
+    ),
+    "synth_rank_without_alpha_r": (
+        ["synth", "--universe", "10", "--alpha", "0.5", "--renewal", "rank", "--out", "s.csv"],
+        "s.csv", 2,
+        ([], ["s.csv"], {**SYNTH_PARAMETERS, "universe": 10, "alpha": 0.5, "rate": 10000.0,
+                         "alpha_r": None, "size_mean": 13312.0}, "incomplete"),
+    ),
+    "simulate": (
+        ["simulate", "t.csv", "c.cfg", "--changes", "ch.csv", "--out", "r.json",
+         "--evictions-out", "ev.csv", "--occupancy-out", "occ.csv"], "r.json", 0,
+        (["t.csv", "c.cfg", "ch.csv"], ["r.json", "ev.csv", "occ.csv"], {}, "ok"),
+    ),
+    "simulate_missing_trace": (
+        ["simulate", "nope.csv", "c.cfg", "--changes", "ch.csv", "--out", "r.json"], "r.json", 2,
+        (["nope.csv", "c.cfg", "ch.csv"], ["r.json"], {}, "incomplete"),
+    ),
+    "report": (
+        ["report", "row.json", "--out-dir", "figs"], os.path.join("figs", "report"), 0,
+        (["row.json"], [os.path.join("figs", "hit_ratio_vs_size.csv")], {"alpha": 0.77}, "ok"),
+    ),
+    # report creates --out-dir before it reads anything, so a failed run
+    # still leaves its manifest there rather than a write warning.
+    "report_empty_result_set": (
+        ["report", "--out-dir", "figs"], os.path.join("figs", "report"), 2,
+        ([], [], {"alpha": 0.77}, "incomplete"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_records_declared_files_and_parameters(tmp_path, monkeypatch, capsys, case):
+    argv, anchor, code, (inputs, outputs, parameters, status) = MANIFEST_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "access.log", SQUID_LINES)
+    trace_csv(tmp_path / "t.csv", [row(float(t), f"o{t % 3}") for t in range(9)])
+    trace_csv(tmp_path / "u.csv", [row(0.0, "A", cacheable=0)])
+    write(tmp_path / "ch.csv", "object_id,change_timestamp_s\no1,4.5\n")
+    objects_cfg(tmp_path / "c.cfg", 2)
+    write(tmp_path / "row.json", json.dumps(result_row(1.0, 24.5, 9.1)))
+    assert main(argv) == code
+    assert "warning" not in capsys.readouterr().err
+    manifest = json.loads(Path(anchor + ".manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
+    assert (manifest["parameters"], manifest["status"]) == (parameters, status)
+
+
+def test_synth_reruns_from_its_manifest(tmp_path, capsys):
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert main(SYNTH_ARGS + ["--days", "2", "--out", f"{first}.csv",
+                              "--changes-out", f"{first}_ch.csv"]) == 0
+    manifest = json.loads(Path(f"{first}.csv.manifest.json").read_text())
+    argv = ["synth", "--seed", str(manifest["seed"])]
+    for name, value in manifest["parameters"].items():
+        if value is not None:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    assert main(argv + ["--out", f"{again}.csv", "--changes-out", f"{again}_ch.csv"]) == 0
+    assert Path(f"{again}.csv").read_bytes() == Path(f"{first}.csv").read_bytes()
+    assert Path(f"{again}_ch.csv").read_bytes() == Path(f"{first}_ch.csv").read_bytes()
+    assert Path(f"{first}_ch.csv").read_text().count("\n") > 1  # the change log is not empty
+
+
+def test_model_writes_no_manifest_and_echoes_only_its_flags(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["model", "ideal-hit", "--alpha", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == {"alpha": 0.5}
+    assert main(["model", "wolman", "--mu", "1", "--popular-cutoff", "5",
+                 "--mu-popular", "2", "--mu-unpopular", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == {
+        "universe": 10000.0, "alpha": 0.8, "rate": 10000.0, "mu": 1.0,
+        "mu_popular": 2.0, "mu_unpopular": 0.5, "popular_cutoff": 5.0,
+    }
+    assert os.listdir(tmp_path) == []
+
+
 def test_million_request_golden_run(tmp_path):
     """End-to-end CLI pipeline at the 1e6-request scale against a committed
     golden result; also guards the < 60 s desk-scale budget."""
