@@ -1,6 +1,6 @@
 """Trace-driven cache simulator.
 
-Two replacement policies over the same event loop:
+Two replacement policies:
 
 * LRU: the classic single-list baseline.
 * ZIPF_CONSTRUCTION: capacity is split into a kernel for objects requested
@@ -19,6 +19,15 @@ accessory object it triggers the usual promotion to the kernel.
 Capacity is accounted in bytes by default; with byte_accounting off every
 object charges exactly 1, which is the objects-mode used when comparing
 against size-free analytical results.
+
+An engine per policy holds the cache state, the request counts and the
+change log; its access(obj, now, size) applies one cacheable request.
+Two front ends drive it.  CacheSim.process takes one TraceRecord at a time
+and is the per-event reference.  simulate replays a Trace in blocks of
+_REPLAY_BLOCK requests: numpy does the per-event bookkeeping (the order
+check, request and byte totals, uncacheable requests, the occupancy sample
+points), and Python calls access once per cacheable request and nothing
+else.  Both give identical results.
 """
 
 from __future__ import annotations
@@ -26,10 +35,12 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .trace import Trace, TraceRecord
 
@@ -55,6 +66,10 @@ HIT = "hit"
 MISS = "miss"
 STALE_MISS = "stale_miss"
 UNCACHEABLE = "uncacheable"
+
+# What an engine access returns, as small ints that numpy tallies per block.
+_HIT, _STALE_MISS, _MISS = 0, 1, 2
+_OUTCOMES = (HIT, STALE_MISS, MISS)
 
 
 class Policy(Enum):
@@ -160,10 +175,16 @@ class SimulationResult:
 
 
 class _Stats:
-    """Managing-part entry: per-object statistics that outlive residency."""
+    """Managing-part entry: per-object statistics that outlive residency.
+
+    count is the number of requests since the entry was made, and earlier
+    the object's requests before that, kept while it had no entry; so
+    earlier + count is its global request count.
+    """
 
     __slots__ = (
         "count",
+        "earlier",
         "last_request",
         "last_fetch",
         "resident",
@@ -172,8 +193,9 @@ class _Stats:
         "residency_start",
     )
 
-    def __init__(self, now: float, size: int):
+    def __init__(self, now: float, size: int, earlier: int):
         self.count = 1
+        self.earlier = earlier
         self.last_request = now
         self.last_fetch = now
         self.resident = False
@@ -183,15 +205,39 @@ class _Stats:
 
 
 class _Engine:
-    """Accounting both policies share: charges, bypasses and the eviction log."""
+    """What both policies share: request counts of dropped entries, freshness,
+    charges, bypasses and the eviction log.
 
-    def __init__(self, config: CacheConfig, counts: dict[Hashable, int]):
+    access(obj, now, size) applies one cacheable request and returns _HIT,
+    _STALE_MISS or _MISS.  The eviction log holds plain
+    (obj, insert_ts, evict_ts, count) tuples; the front end turns them into
+    Eviction records once, with object ids.
+    """
+
+    def __init__(self, config: CacheConfig, changes: dict[Hashable, Sequence[float]]):
         self.capacity = config.capacity_bytes
         self.byte_accounting = config.byte_accounting
-        self.counts = counts  # driver-maintained global request counts
-        self.evictions: list[Eviction] = []
+        self.changes = changes  # empty when there is no change log
+        # Global request counts of objects whose entry was dropped; a new
+        # entry takes its object's count from here.
+        self._dropped: dict[Hashable, int] = {}
+        self.evictions: list[tuple[Hashable, float, float, int]] = []
         self.bypassed: set[Hashable] = set()
         self.bypass_events = 0
+
+    def _fresh(self, obj: Hashable, last_fetch: float, now: float) -> bool:
+        """Whether a copy fetched at last_fetch is still current at now."""
+        times = self.changes.get(obj)
+        if not times:
+            return True
+        i = bisect_right(times, now)
+        return i == 0 or times[i - 1] <= last_fetch
+
+    def _new_entry(self, obj: Hashable, now: float, size: int) -> _Stats:
+        return _Stats(now, size, self._dropped.pop(obj, 0))
+
+    def _drop(self, obj: Hashable, stats: _Stats):
+        self._dropped[obj] = stats.earlier + stats.count
 
     def _charge(self, size: int) -> int:
         return size if self.byte_accounting else 1
@@ -201,34 +247,38 @@ class _Engine:
         self.bypass_events += 1
 
     def _log_eviction(self, obj: Hashable, stats: _Stats, now: float):
-        self.evictions.append(Eviction(obj, stats.residency_start, now, self.counts.get(obj, 0)))
+        self.evictions.append((obj, stats.residency_start, now, stats.earlier + stats.count))
 
 
 class _LruEngine(_Engine):
-    def __init__(self, config: CacheConfig, counts: dict[Hashable, int]):
-        super().__init__(config, counts)
+    def __init__(self, config: CacheConfig, changes: dict[Hashable, Sequence[float]]):
+        super().__init__(config, changes)
         self.entries: OrderedDict[Hashable, _Stats] = OrderedDict()
         self.used = 0
 
-    def access(self, obj: Hashable, now: float, size: int, fresh_fn) -> str:
+    def access(self, obj: Hashable, now: float, size: int) -> int:
         entry = self.entries.get(obj)
         if entry is not None:
+            entry.count += 1
             self.entries.move_to_end(obj)
-            if fresh_fn(obj, entry.last_fetch, now):
-                return HIT
-            entry.last_fetch = now
-            return STALE_MISS
+            if self.changes and not self._fresh(obj, entry.last_fetch, now):
+                entry.last_fetch = now
+                return _STALE_MISS
+            return _HIT
+        entry = self._new_entry(obj, now, size)
         charge = self._charge(size)
         if charge > self.capacity:
             self._bypass(obj)
-            return MISS
-        self.entries[obj] = _Stats(now, size)
+            self._drop(obj, entry)
+            return _MISS
+        self.entries[obj] = entry
         self.used += charge
         while self.used > self.capacity:
             victim_id, victim = self.entries.popitem(last=False)
             self.used -= self._charge(victim.size)
             self._log_eviction(victim_id, victim, now)
-        return MISS
+            self._drop(victim_id, victim)
+        return _MISS
 
     def occupancy(self, now: float) -> OccupancySample:
         return OccupancySample(now, self.used, 0, 0)
@@ -241,8 +291,8 @@ class _LruEngine(_Engine):
 class _ZipfEngine(_Engine):
     """Kernel + accessory + managing construction."""
 
-    def __init__(self, config: CacheConfig, counts: dict[Hashable, int]):
-        super().__init__(config, counts)
+    def __init__(self, config: CacheConfig, changes: dict[Hashable, Sequence[float]]):
+        super().__init__(config, changes)
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
         self.managing_capacity = config.managing_capacity
@@ -280,13 +330,6 @@ class _ZipfEngine(_Engine):
             bucket = self._kernel[count] = OrderedDict()
             insort(self._kernel_counts, count)
         bucket[obj] = None
-
-    def _kernel_remove(self, obj: Hashable, count: int):
-        bucket = self._kernel[count]
-        del bucket[obj]
-        if not bucket:
-            del self._kernel[count]
-            del self._kernel_counts[bisect_left(self._kernel_counts, count)]
 
     def _end_residency(self, obj: Hashable, stats: _Stats, now: float):
         self._log_eviction(obj, stats, now)
@@ -348,14 +391,16 @@ class _ZipfEngine(_Engine):
             if stats is None or stats.resident or stats.last_request != last:
                 continue
             del self.managing[obj]
+            self._drop(obj, stats)
         # All remaining entries may be resident; those are never dropped.
 
-    def access(self, obj: Hashable, now: float, size: int, fresh_fn) -> str:
+    def access(self, obj: Hashable, now: float, size: int) -> int:
         stats = self.managing.get(obj)
 
         if stats is None:
-            # Admission: first request ever seen for this object.
-            stats = _Stats(now, size)
+            # Admission: first request ever seen for this object, or the
+            # first since its entry was dropped.
+            stats = self._new_entry(obj, now, size)
             self.managing[obj] = stats
             self._size_sum += self._charge(size)
             self._size_n += 1
@@ -363,18 +408,35 @@ class _ZipfEngine(_Engine):
                 self._bypass(obj)
                 self._push_ghost(obj, stats)
             self._enforce_managing_bound()
-            return MISS
+            return _MISS
 
-        stats.count += 1
+        count = stats.count = stats.count + 1
         stats.last_request = now
 
         if stats.resident:
-            fresh = fresh_fn(obj, stats.last_fetch, now)
-            if not fresh:
+            outcome = _HIT
+            if self.changes and not self._fresh(obj, stats.last_fetch, now):
                 stats.last_fetch = now
+                outcome = _STALE_MISS
             if stats.in_kernel:
-                self._kernel_remove(obj, stats.count - 1)
-                self._kernel_add(obj, stats.count)
+                # Move from the bucket of count - 1 to the end of the bucket of count.
+                kernel = self._kernel
+                old = kernel[count - 1]
+                del old[obj]
+                new = kernel.get(count)
+                if new is None:
+                    new = kernel[count] = OrderedDict()
+                    counts = self._kernel_counts
+                    i = bisect_left(counts, count - 1)
+                    if old:
+                        counts.insert(i + 1, count)
+                    else:
+                        del kernel[count - 1]
+                        counts[i] = count
+                elif not old:
+                    del kernel[count - 1]
+                    del self._kernel_counts[bisect_left(self._kernel_counts, count - 1)]
+                new[obj] = None
             else:
                 # Promotion: a repeat request moves it from accessory to the
                 # kernel; residency_start is kept, so residence spans both parts.
@@ -383,7 +445,7 @@ class _ZipfEngine(_Engine):
                 if not self._insert_kernel(obj, stats, now):
                     self._bypass(obj)
                     self._end_residency(obj, stats, now)
-            return HIT if fresh else STALE_MISS
+            return outcome
 
         # Returning ghost: statistics survived eviction, so the refetched
         # copy goes straight into the kernel.
@@ -392,7 +454,7 @@ class _ZipfEngine(_Engine):
         if not self._insert_kernel(obj, stats, now):
             self._bypass(obj)
             self._push_ghost(obj, stats)
-        return MISS
+        return _MISS
 
     def occupancy(self, now: float) -> OccupancySample:
         return OccupancySample(now, self.kernel_bytes, self.accessory_bytes, len(self.managing))
@@ -421,25 +483,39 @@ class _ZipfEngine(_Engine):
         assert self._kernel_counts == sorted(self._kernel), "kernel count list"
 
 
+def _out_of_order(now: float, last: float) -> ValueError:
+    return ValueError(f"records out of order: {now} after {last}")
+
+
+def _sum(values: np.ndarray) -> int:
+    """Exact sum of an int64 column.
+
+    numpy's int64 sum wraps modulo 2**64, so it is exact whenever the true
+    sum fits int64, which the float64 sum tells; otherwise sum Python ints.
+    """
+    if abs(float(values.sum(dtype=np.float64))) < 2.0**62:
+        return int(values.sum())
+    return sum(values.tolist())
+
+
 class CacheSim:
     """Single-event simulator front end.
 
     ``process`` applies one record and returns the event outcome (HIT, MISS,
     STALE_MISS or UNCACHEABLE); ``result`` finalizes counters into a
-    SimulationResult.  Feeding events one by one is exactly equivalent to
-    ``simulate`` over the same stream.  Object keys are opaque to the
-    simulator: whatever ``process`` (or ``simulate``, with int codes) passes
-    in is what the change log is keyed by and what the eviction log holds.
+    SimulationResult.  It is the per-event reference for ``simulate``:
+    feeding events one by one gives exactly the result ``simulate`` gives
+    over the same stream.  Object keys are opaque to the simulator: whatever
+    ``process`` (or ``simulate``, with int codes) passes in is what the
+    change log is keyed by and what the eviction log holds.
     """
 
     def __init__(
         self, config: CacheConfig, changes: dict[Hashable, Sequence[float]] | None = None
     ):
         self.config = config
-        self._changes = changes or {}
-        self._counts: dict[Hashable, int] = {}
         engine = _LruEngine if config.policy is Policy.LRU else _ZipfEngine
-        self._engine = engine(config, self._counts)
+        self._engine = engine(config, changes or {})
         self._result = SimulationResult(
             policy=config.policy,
             capacity_bytes=config.capacity_bytes,
@@ -449,35 +525,24 @@ class CacheSim:
         self._last_ts: float | None = None
         self._finalized = False
 
-    def _fresh(self, obj: Hashable, last_fetch: float, now: float) -> bool:
-        times = self._changes.get(obj)
-        if not times:
-            return True
-        i = bisect_right(times, now)
-        return i == 0 or times[i - 1] <= last_fetch
-
     def process(self, rec: TraceRecord) -> str:
-        return self._step(rec.timestamp, rec.object_id, rec.size_bytes, rec.cacheable)
-
-    def _step(self, now: float, obj: Hashable, size: int, cacheable: bool) -> str:
-        """Apply one request; the per-event body of process and simulate."""
+        now, size = rec.timestamp, rec.size_bytes
         last = self._last_ts
         if last is None:
             self._result.start_ts = now
         elif now < last:
-            raise ValueError(f"records out of order: {now} after {last}")
+            raise _out_of_order(now, last)
         self._last_ts = now
 
         r = self._result
         r.requests += 1
         r.total_bytes += size
-        if not cacheable:
+        if not rec.cacheable:
             r.uncacheable += 1
             r.origin_bytes += size
             outcome = UNCACHEABLE
         else:
-            self._counts[obj] = self._counts.get(obj, 0) + 1
-            outcome = self._engine.access(obj, now, size, self._fresh)
+            outcome = _OUTCOMES[self._engine.access(rec.object_id, now, size)]
             if outcome == HIT:
                 r.hits += 1
                 r.hit_bytes += size
@@ -493,10 +558,70 @@ class CacheSim:
             r.occupancy.append(self._engine.occupancy(now))
         return outcome
 
+    def _replay(self, block: Trace):
+        """Apply a non-empty block of requests, as process would one by one.
+
+        numpy does the per-event bookkeeping (order check, totals, the
+        uncacheable requests); Python runs only the engine, once per
+        cacheable request, pausing at each occupancy sample point.
+        """
+        times = block.timestamps
+        n = len(times)
+        r = self._result
+        last = self._last_ts
+        if last is None:
+            r.start_ts = last = float(times[0])
+        pairs = np.concatenate(([last], times))
+        back = np.flatnonzero(pairs[1:] < pairs[:-1])
+        if len(back):
+            i = back[0]
+            raise _out_of_order(float(pairs[i + 1]), float(pairs[i]))
+
+        sizes = block.sizes
+        cacheable = np.flatnonzero(block.cacheable)
+        c_sizes = sizes[cacheable]
+        # Samples fall after every occupancy_stride-th event, uncacheable ones
+        # included; each becomes a cut in the cacheable sub-stream.
+        stride = self.config.occupancy_stride
+        samples = np.arange((-self._events - 1) % stride, n, stride)
+        cuts = np.searchsorted(cacheable, samples, side="right")
+        accesses = map(
+            self._engine.access,
+            block.objects[cacheable].tolist(),
+            times[cacheable].tolist(),
+            c_sizes.tolist(),
+        )
+        outcomes = np.empty(len(cacheable), dtype=np.int8)
+        occupancy = self._engine.occupancy
+        done = 0
+        for cut, now in zip(cuts.tolist(), times[samples].tolist()):
+            outcomes[done:cut] = np.fromiter(accesses, np.int8, cut - done)
+            r.occupancy.append(occupancy(now))
+            done = cut
+        outcomes[done:] = np.fromiter(accesses, np.int8, len(outcomes) - done)
+
+        hits, stale, misses = np.bincount(outcomes, minlength=3).tolist()
+        total = _sum(sizes)
+        hit_bytes = _sum(c_sizes[outcomes == _HIT])
+        r.requests += n
+        r.total_bytes += total
+        r.uncacheable += n - len(cacheable)
+        r.hits += hits
+        r.stale_misses += stale
+        r.misses += misses
+        r.hit_bytes += hit_bytes
+        r.origin_bytes += total - hit_bytes
+        self._events += n
+        self._last_ts = float(times[-1])
+
     def check_invariants(self):
         self._engine.check_invariants()
 
     def result(self) -> SimulationResult:
+        return self._finish(None)
+
+    def _finish(self, ids: Sequence[str] | None) -> SimulationResult:
+        """Finalize counters; ids, if given, maps the engine's int keys to object ids."""
         r = self._result
         if self._last_ts is not None:
             r.end_ts = self._last_ts
@@ -504,14 +629,19 @@ class CacheSim:
             self._finalized = True
             if self._events % self.config.occupancy_stride != 0 and self._last_ts is not None:
                 r.occupancy.append(self._engine.occupancy(self._last_ts))
-        r.evictions = list(self._engine.evictions)
+        log, bypassed = self._engine.evictions, self._engine.bypassed
+        if ids is None:
+            r.evictions = list(map(Eviction._make, log))
+            r.bypassed_objects = frozenset(bypassed)
+        else:
+            r.evictions = [Eviction(ids[obj], start, end, count) for obj, start, end, count in log]
+            r.bypassed_objects = frozenset(ids[obj] for obj in bypassed)
         r.bypassed = self._engine.bypass_events
-        r.bypassed_objects = frozenset(self._engine.bypassed)
         return r
 
 
-# simulate turns this many requests at a time into Python lists, so the
-# lists stay small: less memory, and the garbage collector's full passes
+# simulate replays this many requests at a time, so the per-block lists and
+# arrays stay small: less memory, and the garbage collector's full passes
 # do not walk one list entry per request of the whole trace.
 _REPLAY_BLOCK = 1 << 16
 
@@ -523,37 +653,20 @@ def simulate(
 ) -> SimulationResult:
     """Run one configuration over a time-ordered record stream.
 
-    The records (a Trace, or any record iterable, converted once) are fed
-    as int object codes; the change log is re-keyed to codes up front, and
-    the eviction log and bypassed objects are mapped back to ids.
+    The records (a Trace, or any record iterable, converted once) are
+    replayed in blocks of _REPLAY_BLOCK requests with int object codes as
+    keys; the change log is re-keyed to codes up front, and the eviction log
+    and bypassed objects are mapped back to ids once, at the end.
     """
     trace = Trace.from_records(records)
     ids = trace.object_ids
-    code_of = {obj: code for code, obj in enumerate(ids)}
-    sim = CacheSim(
-        config,
-        {code_of[obj]: times for obj, times in (changes or {}).items() if obj in code_of},
-    )
-    # deque(maxlen=0) drains the map without a Python-level loop.
+    if changes:
+        code_of = {obj: code for code, obj in enumerate(ids)}
+        changes = {code_of[obj]: times for obj, times in changes.items() if obj in code_of}
+    sim = CacheSim(config, changes)
     for start in range(0, len(trace), _REPLAY_BLOCK):
-        block = trace[start : start + _REPLAY_BLOCK]
-        deque(
-            map(
-                sim._step,
-                block.timestamps.tolist(),
-                block.objects.tolist(),
-                block.sizes.tolist(),
-                block.cacheable.tolist(),
-            ),
-            maxlen=0,
-        )
-    result = sim.result()
-    result.evictions = [
-        Eviction(ids[obj], insert_ts, evict_ts, count)
-        for obj, insert_ts, evict_ts, count in result.evictions
-    ]
-    result.bypassed_objects = frozenset(ids[obj] for obj in result.bypassed_objects)
-    return result
+        sim._replay(trace[start : start + _REPLAY_BLOCK])
+    return sim._finish(ids)
 
 
 def compare_policies(

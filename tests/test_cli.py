@@ -227,6 +227,14 @@ def test_simulate_bad_trace_row_exits_2(tmp_path, capsys, bad_row):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_simulate_unordered_trace_exits_2_naming_the_pair(tmp_path, capsys):
+    rows = [row(0.0, "A"), row(2.0, "B", cacheable=0), row(1.5, "A"), row(3.0, "C")]
+    trace = trace_csv(tmp_path / "t.csv", rows)
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert "records out of order: 1.5 after 2.0" in capsys.readouterr().err
+
+
 def test_simulate_bad_config_key_exits_2(tmp_path):
     trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A")])
     cfg = write(tmp_path / "c.cfg", "capacity_bytes=5\nwhatever=1\n")

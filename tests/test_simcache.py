@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -36,6 +37,11 @@ def rec(t, obj, size=1, cacheable=True):
 
 def objects_config(capacity, policy=Policy.LRU, **kw):
     return CacheConfig(capacity_bytes=capacity, policy=policy, byte_accounting=False, **kw)
+
+
+def engine_evictions(sim):
+    """The eviction log so far, read mid-stream from the engine's plain tuples."""
+    return [Eviction._make(entry) for entry in sim._engine.evictions]
 
 
 # --- basic contracts ------------------------------------------------------------
@@ -101,6 +107,26 @@ def test_unordered_records_rejected():
         sim.process(rec(9, "B"))
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("times, block, pair", [
+    # 5 -> 3 is the first decrease inside one block, 6 -> 2 the second.
+    ([0, 1, 1, 5, 3, 6, 2], 1 << 16, "3.0 after 5.0"),
+    # Blocks of 7: the first decrease is from the last request of block one
+    # (6) to the first of block two (5.5); a later one in block two is not named.
+    ([0, 1, 2, 3, 4, 5, 6, 5.5, 7, 4, 8], 7, "5.5 after 6.0"),
+])
+def test_simulate_rejects_unordered_records_like_process(policy, times, block, pair):
+    records = [rec(t, f"o{i % 3}", cacheable=i % 2 == 0) for i, t in enumerate(times)]
+    config = objects_config(2, policy)
+    sim = CacheSim(config)
+    with pytest.raises(ValueError, match=re.escape(f"records out of order: {pair}")):
+        for r in records:
+            sim.process(r)
+    with mock.patch.object(simcache_module, "_REPLAY_BLOCK", block):
+        with pytest.raises(ValueError, match=re.escape(f"records out of order: {pair}")):
+            simulate(Trace.from_records(records), config)
+
+
 def test_oversized_object_bypasses_without_failing():
     records = [rec(1, "big", size=10_000), rec(2, "big", size=10_000), rec(3, "small", size=10)]
     result = simulate(records, CacheConfig(capacity_bytes=1000))
@@ -108,6 +134,19 @@ def test_oversized_object_bypasses_without_failing():
     assert "big" in result.bypassed_objects
     assert result.hits == 0
     assert result.requests == 3
+
+
+def test_byte_totals_exact_beyond_int64():
+    big = 2**62
+    records = [rec(t, obj, size=big, cacheable=t != 2) for t, obj in enumerate("AABAA")]
+    config = CacheConfig(capacity_bytes=2**63)
+    sim = CacheSim(config)
+    for r in records:
+        sim.process(r)
+    expected = sim.result()
+    got = simulate(Trace.from_records(records), config)
+    assert (got.total_bytes, got.hit_bytes, got.origin_bytes) == (5 * big, 3 * big, 2 * big)
+    assert got == expected
 
 
 def test_request_conservation_and_rate_ordering():
@@ -159,7 +198,7 @@ def test_ghost_returns_straight_into_kernel():
     assert sim.process(rec(1, "A")) == MISS
     assert sim.process(rec(2, "B")) == MISS
     assert sim.process(rec(3, "C")) == MISS  # evicts A (FIFO)
-    evicted = sim._engine.evictions
+    evicted = engine_evictions(sim)
     assert [(e.object_id, e.count) for e in evicted] == [("A", 1)]
     assert sim.process(rec(4, "A")) == MISS  # ghost: refetch into kernel
     stats = sim._engine.managing["A"]
@@ -173,7 +212,7 @@ def test_accessory_eviction_is_fifo_by_insertion():
     # kernel capacity 1, accessory 3
     for t, obj in enumerate(["A", "B", "C", "D", "E"], start=1):
         sim.process(rec(t, obj))
-    gone = [e.object_id for e in sim._engine.evictions]
+    gone = [e.object_id for e in engine_evictions(sim)]
     assert gone == ["A", "B"]  # oldest inserted leave first
     sim.check_invariants()
 
@@ -191,7 +230,7 @@ def test_kernel_eviction_prefers_low_count_then_stale_recency():
         o for o, s in sim._engine.managing.items() if s.resident and s.in_kernel
     }
     assert kernel_members == {"A", "C"}  # B had the minimum count
-    assert [e.object_id for e in sim._engine.evictions] == ["B"]
+    assert [e.object_id for e in engine_evictions(sim)] == ["B"]
     sim.check_invariants()
 
 
@@ -202,7 +241,7 @@ def test_kernel_ties_leave_in_order_of_reaching_the_count():
     for obj in ["B", "A", "A", "B", "C", "C", "D", "D"]:
         sim.process(rec(7, obj))
         sim.check_invariants()
-    assert [e.object_id for e in sim._engine.evictions] == ["A", "B"]
+    assert [e.object_id for e in engine_evictions(sim)] == ["A", "B"]
 
 
 def test_managing_never_drops_resident_entries():
@@ -250,7 +289,7 @@ def test_zero_length_kernel_residency_logged_once():
     t = iter(range(1, 100))
     for obj in ["A", "A", "A", "B", "B"]:
         sim.process(rec(next(t), obj))
-    entries = [e for e in sim._engine.evictions if e.object_id == "B"]
+    entries = [e for e in engine_evictions(sim) if e.object_id == "B"]
     assert len(entries) == 1
     assert entries[0].count == 2
     sim.check_invariants()
@@ -279,6 +318,35 @@ def test_stale_request_still_promotes_in_construction():
     stats = sim._engine.managing["A"]
     assert stats.in_kernel and stats.count == 2
     sim.check_invariants()
+
+
+@pytest.mark.parametrize("changes", [None, {}])
+def test_freshness_never_consulted_without_change_log(changes):
+    records, _ = random_workload(5, n_events=3000)
+    never = mock.patch.object(
+        simcache_module._Engine, "_fresh", side_effect=AssertionError("freshness consulted")
+    )
+    for policy in Policy:
+        config = CacheConfig(capacity_bytes=100_000, policy=policy)
+        with never:
+            whole = simulate(records, config, changes)
+            sim = CacheSim(config, changes)
+            for r in records:
+                sim.process(r)
+        stepped = sim.result()
+        assert whole.hits > 0 and whole.stale_misses == 0
+        assert (stepped.hits, stepped.stale_misses) == (whole.hits, 0)
+
+
+def test_stale_misses_counted_with_a_change_log():
+    records, changes = random_workload(5, n_events=3000)
+    for policy in Policy:
+        config = CacheConfig(capacity_bytes=100_000, policy=policy)
+        whole = simulate(records, config, changes)
+        sim = CacheSim(config, changes)
+        outcomes = [sim.process(r) for r in records]
+        assert whole.stale_misses > 0
+        assert whole.stale_misses == outcomes.count(STALE_MISS) == sim.result().stale_misses
 
 
 def test_renewal_only_reduces_hits():
@@ -385,6 +453,8 @@ AWKWARD_IDS = ["a", "b", "a,b", 'say "hi"', "", " ", "0", "1", "x\ny", "é"]
 def replay_cases(draw):
     """Small record lists with tied timestamps, uncacheable requests and a change log."""
     n = draw(st.integers(min_value=0, max_value=60))
+    # Mostly cacheable requests, or runs in which every request is cacheable or none is.
+    mix = draw(st.sampled_from(["mixed", "all", "none"]))
     gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5, DAY]), min_size=n, max_size=n))
     records, t = [], 0.0
     for gap in gaps:
@@ -394,7 +464,7 @@ def replay_cases(draw):
             draw(st.sampled_from(["c0", "c,1"])),
             draw(st.sampled_from(AWKWARD_IDS)),
             draw(st.integers(min_value=1, max_value=40)),
-            draw(st.booleans()) or draw(st.booleans()),
+            mix == "all" or (mix == "mixed" and (draw(st.booleans()) or draw(st.booleans()))),
         ))
     changes = draw(st.dictionaries(
         st.sampled_from(AWKWARD_IDS + ["never-requested"]),
@@ -406,7 +476,8 @@ def replay_cases(draw):
         kernel_fraction=draw(st.sampled_from([0.25, 0.5])),
         managing_capacity=draw(st.sampled_from([None, 1, 3])),
         byte_accounting=draw(st.booleans()),
-        occupancy_stride=draw(st.integers(min_value=1, max_value=7)),
+        # 1000, the default, is longer than any drawn trace.
+        occupancy_stride=draw(st.integers(min_value=1, max_value=7) | st.just(1000)),
     )
     return records, changes, config
 
