@@ -8,11 +8,19 @@ configs and change logs included; outputs: every file written; parameters:
 every other argument; seed: `--seed`) and writes it next to the first
 output as `<out>.manifest.json`, even when the command fails half way.
 `report` writes into a directory and anchors it at `<out-dir>/report`.
+
+`simulate` streams: a forked child parses the trace block by block
+(trace.read_ahead over trace.read_blocks) while this process replays each
+block through every configuration, so its memory grows with the number of
+objects, not with the trace length.  Errors keep the order of reading the
+whole trace first: a bad trace wins over a bad change log or config and
+over a replay error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -55,12 +63,16 @@ class RunManifest:
             print(f"warning: cannot write manifest {path}: {exc}", file=sys.stderr)
 
 
+def _trace_error(path: str, exc: OSError) -> InputError:
+    return InputError(f"cannot read trace {path}: {exc}")
+
+
 def _load_trace(path: str) -> trace.Trace:
     try:
         with open(path, encoding="utf-8") as f:
             return trace.read_trace(f)
     except OSError as exc:
-        raise InputError(f"cannot read trace {path}: {exc}")
+        raise _trace_error(path, exc)
 
 
 def _load_changes(path: str | None):
@@ -274,10 +286,22 @@ def _simulation_payload(result: simcache.SimulationResult, config: simcache.Cach
 def cmd_simulate(args, manifest) -> int:
     if len(args.configs) > 1 and (args.evictions_out or args.occupancy_out):
         raise InputError("eviction/occupancy dumps need a single config")
-    records = _load_trace(args.trace)
-    changes = _load_changes(args.changes)
-    configs = [_cache_config(_parse_flat_config(path)) for path in args.configs]
-    results = simcache.compare_policies(records, configs, changes)
+    try:
+        with (
+            open(args.trace, encoding="utf-8") as f,
+            contextlib.closing(trace.read_ahead(trace.read_blocks(f))) as blocks,
+        ):
+            try:
+                changes = _load_changes(args.changes)
+                configs = [_cache_config(_parse_flat_config(path)) for path in args.configs]
+                results = simcache.replay(blocks, configs, changes)
+            except Exception:
+                # A trace error wins, as when the whole trace was read first.
+                for _ in blocks:
+                    pass
+                raise
+    except OSError as exc:  # the loaders of the other inputs raise InputError
+        raise _trace_error(args.trace, exc)
     payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
     out_doc = payloads[0] if len(payloads) == 1 else payloads
     with open(args.out, "w", encoding="utf-8") as f:

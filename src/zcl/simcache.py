@@ -23,11 +23,14 @@ against size-free analytical results.
 An engine per policy holds the cache state, the request counts and the
 change log; its access(obj, now, size) applies one cacheable request.
 Two front ends drive it.  CacheSim.process takes one TraceRecord at a time
-and is the per-event reference.  simulate replays a Trace in blocks of
-_REPLAY_BLOCK requests: numpy does the per-event bookkeeping (the order
-check, request and byte totals, uncacheable requests, the occupancy sample
-points), and Python calls access once per cacheable request and nothing
-else.  Both give identical results.
+and is the per-event reference.  replay takes a stream of trace blocks
+(trace.Block) and replays each one through every configuration in
+lockstep: numpy does the per-event bookkeeping (the order check, request
+and byte totals, uncacheable requests, the occupancy sample points), and
+Python calls access once per cacheable request and nothing else.  Both give
+identical results.  simulate and compare_policies replay a whole Trace in
+blocks of _REPLAY_BLOCK requests; `zcl simulate` replays the blocks of
+trace.read_blocks as they are parsed, so it never holds the whole trace.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .trace import Trace, TraceRecord
+from .trace import Block, Trace, TraceRecord
 
 __all__ = [
     "Policy",
@@ -53,6 +56,7 @@ __all__ = [
     "CacheSim",
     "simulate",
     "compare_policies",
+    "replay",
     "HIT",
     "MISS",
     "STALE_MISS",
@@ -209,19 +213,25 @@ class _Engine:
     charges, bypasses and the eviction log.
 
     access(obj, now, size) applies one cacheable request and returns _HIT,
-    _STALE_MISS or _MISS.  The eviction log holds plain
-    (obj, insert_ts, evict_ts, count) tuples; the front end turns them into
-    Eviction records once, with object ids.
+    _STALE_MISS or _MISS.  The eviction log holds one Eviction per eviction,
+    built when it happens with the object's id: ids[obj], or obj itself when
+    ids is None.
     """
 
-    def __init__(self, config: CacheConfig, changes: dict[Hashable, Sequence[float]]):
+    def __init__(
+        self,
+        config: CacheConfig,
+        changes: dict[Hashable, Sequence[float]],
+        ids: Sequence[str] | None,
+    ):
         self.capacity = config.capacity_bytes
         self.byte_accounting = config.byte_accounting
         self.changes = changes  # empty when there is no change log
+        self.ids = ids
         # Global request counts of objects whose entry was dropped; a new
         # entry takes its object's count from here.
         self._dropped: dict[Hashable, int] = {}
-        self.evictions: list[tuple[Hashable, float, float, int]] = []
+        self.evictions: list[Eviction] = []
         self.bypassed: set[Hashable] = set()
         self.bypass_events = 0
 
@@ -247,12 +257,20 @@ class _Engine:
         self.bypass_events += 1
 
     def _log_eviction(self, obj: Hashable, stats: _Stats, now: float):
-        self.evictions.append((obj, stats.residency_start, now, stats.earlier + stats.count))
+        object_id = obj if self.ids is None else self.ids[obj]
+        self.evictions.append(
+            Eviction(object_id, stats.residency_start, now, stats.earlier + stats.count)
+        )
 
 
 class _LruEngine(_Engine):
-    def __init__(self, config: CacheConfig, changes: dict[Hashable, Sequence[float]]):
-        super().__init__(config, changes)
+    def __init__(
+        self,
+        config: CacheConfig,
+        changes: dict[Hashable, Sequence[float]],
+        ids: Sequence[str] | None,
+    ):
+        super().__init__(config, changes, ids)
         self.entries: OrderedDict[Hashable, _Stats] = OrderedDict()
         self.used = 0
 
@@ -291,8 +309,13 @@ class _LruEngine(_Engine):
 class _ZipfEngine(_Engine):
     """Kernel + accessory + managing construction."""
 
-    def __init__(self, config: CacheConfig, changes: dict[Hashable, Sequence[float]]):
-        super().__init__(config, changes)
+    def __init__(
+        self,
+        config: CacheConfig,
+        changes: dict[Hashable, Sequence[float]],
+        ids: Sequence[str] | None,
+    ):
+        super().__init__(config, changes, ids)
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
         self.managing_capacity = config.managing_capacity
@@ -311,13 +334,20 @@ class _ZipfEngine(_Engine):
         # Running mean object size, for the auto managing bound.
         self._size_sum = 0
         self._size_n = 0
+        # The bound at the largest charge admitted so far.  The mean never
+        # exceeds it, so the bound is at least this; it changes only when a
+        # larger charge arrives.
+        self._largest_charge = 0
+        self._managing_floor = 0
 
-    def _managing_bound(self) -> int:
+    def _managing_bound(self, mean: float | None = None) -> int:
+        """Bound on managing entries; mean, if given, stands in for the mean charge."""
         if self.managing_capacity is not None:
             return self.managing_capacity
         if not self.byte_accounting:
             return 10 * self.capacity
-        mean = self._size_sum / self._size_n if self._size_n else 1.0
+        if mean is None:
+            mean = self._size_sum / self._size_n if self._size_n else 1.0
         return max(100, int(10 * self.capacity / max(mean, 1.0)))
 
     def _push_ghost(self, obj: Hashable, stats: _Stats):
@@ -384,6 +414,8 @@ class _ZipfEngine(_Engine):
         return True
 
     def _enforce_managing_bound(self):
+        if len(self.managing) <= self._managing_floor:
+            return
         bound = self._managing_bound()
         while len(self.managing) > bound and self._ghost_heap:
             last, _, obj = heapq.heappop(self._ghost_heap)
@@ -402,8 +434,12 @@ class _ZipfEngine(_Engine):
             # first since its entry was dropped.
             stats = self._new_entry(obj, now, size)
             self.managing[obj] = stats
-            self._size_sum += self._charge(size)
+            charge = self._charge(size)
+            self._size_sum += charge
             self._size_n += 1
+            if charge > self._largest_charge:
+                self._largest_charge = charge
+                self._managing_floor = self._managing_bound(charge)
             if not self._insert_accessory(obj, stats, now):
                 self._bypass(obj)
                 self._push_ghost(obj, stats)
@@ -481,6 +517,8 @@ class _ZipfEngine(_Engine):
         assert sum(map(len, self._kernel.values())) == len(kernel), "kernel object in two buckets"
         assert {o: c for c, b in self._kernel.items() for o in b} == kernel, "kernel buckets"
         assert self._kernel_counts == sorted(self._kernel), "kernel count list"
+        # Admissions skip the bound while the managing part is within the floor.
+        assert self._managing_floor <= self._managing_bound(), "managing floor above the bound"
 
 
 def _out_of_order(now: float, last: float) -> ValueError:
@@ -506,16 +544,20 @@ class CacheSim:
     SimulationResult.  It is the per-event reference for ``simulate``:
     feeding events one by one gives exactly the result ``simulate`` gives
     over the same stream.  Object keys are opaque to the simulator: whatever
-    ``process`` (or ``simulate``, with int codes) passes in is what the
-    change log is keyed by and what the eviction log holds.
+    ``process`` (or ``replay``, with int codes) passes in is what the change
+    log is keyed by.  The eviction log and bypassed objects hold ids[key],
+    or the key itself when ids is None.
     """
 
     def __init__(
-        self, config: CacheConfig, changes: dict[Hashable, Sequence[float]] | None = None
+        self,
+        config: CacheConfig,
+        changes: dict[Hashable, Sequence[float]] | None = None,
+        ids: Sequence[str] | None = None,
     ):
         self.config = config
         engine = _LruEngine if config.policy is Policy.LRU else _ZipfEngine
-        self._engine = engine(config, changes or {})
+        self._engine = engine(config, {} if changes is None else changes, ids)
         self._result = SimulationResult(
             policy=config.policy,
             capacity_bytes=config.capacity_bytes,
@@ -558,15 +600,20 @@ class CacheSim:
             r.occupancy.append(self._engine.occupancy(now))
         return outcome
 
-    def _replay(self, block: Trace):
-        """Apply a non-empty block of requests, as process would one by one.
+    def _replay(self, block: Block, cacheable: np.ndarray, requests: tuple[list, list, list]):
+        """Apply a block of requests, as process would one by one.
 
-        numpy does the per-event bookkeeping (order check, totals, the
-        uncacheable requests); Python runs only the engine, once per
-        cacheable request, pausing at each occupancy sample point.
+        cacheable indexes the block's cacheable requests, and requests holds
+        their object codes, timestamps and sizes as lists, made once for
+        every configuration.  numpy does the per-event bookkeeping (order
+        check, totals, the uncacheable requests); Python runs only the
+        engine, once per cacheable request, pausing at each occupancy sample
+        point.
         """
         times = block.timestamps
         n = len(times)
+        if not n:
+            return
         r = self._result
         last = self._last_ts
         if last is None:
@@ -578,19 +625,13 @@ class CacheSim:
             raise _out_of_order(float(pairs[i + 1]), float(pairs[i]))
 
         sizes = block.sizes
-        cacheable = np.flatnonzero(block.cacheable)
         c_sizes = sizes[cacheable]
         # Samples fall after every occupancy_stride-th event, uncacheable ones
         # included; each becomes a cut in the cacheable sub-stream.
         stride = self.config.occupancy_stride
         samples = np.arange((-self._events - 1) % stride, n, stride)
         cuts = np.searchsorted(cacheable, samples, side="right")
-        accesses = map(
-            self._engine.access,
-            block.objects[cacheable].tolist(),
-            times[cacheable].tolist(),
-            c_sizes.tolist(),
-        )
+        accesses = map(self._engine.access, *requests)
         outcomes = np.empty(len(cacheable), dtype=np.int8)
         occupancy = self._engine.occupancy
         done = 0
@@ -618,10 +659,6 @@ class CacheSim:
         self._engine.check_invariants()
 
     def result(self) -> SimulationResult:
-        return self._finish(None)
-
-    def _finish(self, ids: Sequence[str] | None) -> SimulationResult:
-        """Finalize counters; ids, if given, maps the engine's int keys to object ids."""
         r = self._result
         if self._last_ts is not None:
             r.end_ts = self._last_ts
@@ -629,14 +666,13 @@ class CacheSim:
             self._finalized = True
             if self._events % self.config.occupancy_stride != 0 and self._last_ts is not None:
                 r.occupancy.append(self._engine.occupancy(self._last_ts))
-        log, bypassed = self._engine.evictions, self._engine.bypassed
-        if ids is None:
-            r.evictions = list(map(Eviction._make, log))
-            r.bypassed_objects = frozenset(bypassed)
+        engine = self._engine
+        r.evictions = list(engine.evictions)
+        if engine.ids is None:
+            r.bypassed_objects = frozenset(engine.bypassed)
         else:
-            r.evictions = [Eviction(ids[obj], start, end, count) for obj, start, end, count in log]
-            r.bypassed_objects = frozenset(ids[obj] for obj in bypassed)
-        r.bypassed = self._engine.bypass_events
+            r.bypassed_objects = frozenset(engine.ids[obj] for obj in engine.bypassed)
+        r.bypassed = engine.bypass_events
         return r
 
 
@@ -644,6 +680,40 @@ class CacheSim:
 # arrays stay small: less memory, and the garbage collector's full passes
 # do not walk one list entry per request of the whole trace.
 _REPLAY_BLOCK = 1 << 16
+
+
+def replay(
+    blocks: Iterable[Block],
+    configs: Sequence[CacheConfig],
+    changes: dict[str, Sequence[float]] | None = None,
+) -> list[SimulationResult]:
+    """Run several configurations, in config order, over one stream of trace blocks.
+
+    Each block is replayed through every configuration before the next is
+    taken, with int object codes as keys.  As each block brings its new ids,
+    they join the id table the eviction logs read and the change log is
+    re-keyed to their codes.
+    """
+    if not configs:
+        raise ValueError("need at least one configuration")
+    ids: list[str] = []
+    keyed: dict[int, Sequence[float]] = {}  # the change log by code, shared by every engine
+    sims = [CacheSim(config, keyed, ids) for config in configs]
+    for block in blocks:
+        if changes:
+            for code, obj in enumerate(block.new_object_ids, len(ids)):
+                if obj in changes:
+                    keyed[code] = changes[obj]
+        ids += block.new_object_ids
+        cacheable = np.flatnonzero(block.cacheable)
+        requests = (
+            block.objects[cacheable].tolist(),
+            block.timestamps[cacheable].tolist(),
+            block.sizes[cacheable].tolist(),
+        )
+        for sim in sims:
+            sim._replay(block, cacheable, requests)
+    return [sim.result() for sim in sims]
 
 
 def simulate(
@@ -654,19 +724,9 @@ def simulate(
     """Run one configuration over a time-ordered record stream.
 
     The records (a Trace, or any record iterable, converted once) are
-    replayed in blocks of _REPLAY_BLOCK requests with int object codes as
-    keys; the change log is re-keyed to codes up front, and the eviction log
-    and bypassed objects are mapped back to ids once, at the end.
+    replayed in blocks of _REPLAY_BLOCK requests; see replay.
     """
-    trace = Trace.from_records(records)
-    ids = trace.object_ids
-    if changes:
-        code_of = {obj: code for code, obj in enumerate(ids)}
-        changes = {code_of[obj]: times for obj, times in changes.items() if obj in code_of}
-    sim = CacheSim(config, changes)
-    for start in range(0, len(trace), _REPLAY_BLOCK):
-        sim._replay(trace[start : start + _REPLAY_BLOCK])
-    return sim._finish(ids)
+    return compare_policies(records, [config], changes)[0]
 
 
 def compare_policies(
@@ -675,7 +735,4 @@ def compare_policies(
     changes: dict[str, Sequence[float]] | None = None,
 ) -> list[SimulationResult]:
     """Simulate several configurations, in config order, over the identical record stream."""
-    if not configs:
-        raise ValueError("need at least one configuration")
-    trace = Trace.from_records(records)
-    return [simulate(trace, cfg, changes) for cfg in configs]
+    return replay(Trace.from_records(records).blocks(_REPLAY_BLOCK), configs, changes)

@@ -6,25 +6,37 @@ codes.  TraceRecord is the view of a single request.  Two on-disk forms are
 understood: the project's canonical CSV (lossless round trip) and the
 native Squid access log layout (read-only).  Both are read and written in
 blocks of rows, so no per-request object is built on the way.
+
+read_blocks parses canonical CSV as a stream of Blocks, each holding its
+rows' columns and only the ids first seen in it; read_trace is their
+concatenation.  read_ahead runs such a stream in a forked child, one block
+ahead of the caller, so that `zcl simulate` replays each block while the
+next one is parsed and never holds the whole trace.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
 import re
+import signal
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import chain, islice, repeat
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 __all__ = [
+    "Block",
     "Trace",
     "TraceRecord",
     "TraceFormatError",
     "ParsedLog",
     "parse_squid_log",
+    "read_ahead",
+    "read_blocks",
     "read_canonical_csv",
     "read_trace",
     "write_canonical_csv",
@@ -90,13 +102,43 @@ _BLOCK_ROWS = 1 << 16
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
-def _interned(tokens: Sequence[str], table: dict[str, int]) -> np.ndarray:
-    """int32 codes of tokens in table; unseen tokens are appended in first-seen order."""
+def _interned(
+    tokens: Sequence[str], table: dict[str, int]
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int32 codes of tokens in table, and the tokens that were new to it.
+
+    New tokens are appended to table in first-seen order, so the i-th new
+    token gets code len(table) + i, counted before the call.
+    """
     codes = list(map(table.get, tokens))
+    new: list[str] = []
     for i, code in enumerate(codes):
         if code is None:
-            codes[i] = table.setdefault(tokens[i], len(table))
-    return np.array(codes, dtype=np.int32)
+            token = tokens[i]
+            code = table.get(token)
+            if code is None:
+                code = table[token] = len(table)
+                new.append(token)
+            codes[i] = code
+    return np.array(codes, dtype=np.int32), tuple(new)
+
+
+class Block(NamedTuple):
+    """A run of consecutive requests of a trace stream.
+
+    The columns are as in Trace; object and client codes count across the
+    whole stream, and new_object_ids and new_client_ids hold only the ids
+    first seen in this block, in code order.
+    """
+
+    timestamps: np.ndarray
+    objects: np.ndarray
+    clients: np.ndarray
+    sizes: np.ndarray
+    cacheable: np.ndarray
+    origin_hit: np.ndarray | None
+    new_object_ids: tuple[str, ...]
+    new_client_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +177,57 @@ class Trace:
         if isinstance(records, Trace):
             return records
         rows = list(records)
-        objects: dict[str, int] = {}
-        clients: dict[str, int] = {}
+        objects, object_ids = _interned([r.object_id for r in rows], {})
+        clients, client_ids = _interned([r.client_id for r in rows], {})
         origin = [-1 if r.origin_hit is None else int(r.origin_hit) for r in rows]
         return cls(
             timestamps=np.array([r.timestamp for r in rows], dtype=np.float64),
-            objects=_interned([r.object_id for r in rows], objects),
-            object_ids=tuple(objects),
-            clients=_interned([r.client_id for r in rows], clients),
-            client_ids=tuple(clients),
+            objects=objects,
+            object_ids=object_ids,
+            clients=clients,
+            client_ids=client_ids,
             sizes=np.array([r.size_bytes for r in rows], dtype=np.int64),
             cacheable=np.array([r.cacheable for r in rows], dtype=bool),
             origin_hit=np.array(origin, dtype=np.int8) if max(origin, default=-1) >= 0 else None,
         )
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[Block]) -> Trace:
+        """The concatenation of a block stream, which holds at least one block."""
+        blocks = list(blocks)
+
+        def column(name: str) -> np.ndarray:
+            return np.concatenate([getattr(b, name) for b in blocks])
+
+        return cls(
+            timestamps=column("timestamps"),
+            objects=column("objects"),
+            object_ids=tuple(chain.from_iterable(b.new_object_ids for b in blocks)),
+            clients=column("clients"),
+            client_ids=tuple(chain.from_iterable(b.new_client_ids for b in blocks)),
+            sizes=column("sizes"),
+            cacheable=column("cacheable"),
+            origin_hit=None if blocks[0].origin_hit is None else column("origin_hit"),
+        )
+
+    def blocks(self, rows: int) -> Iterator[Block]:
+        """The trace as a stream of Blocks of up to rows requests.
+
+        The first block carries every id, and an empty trace is one empty
+        block, so from_blocks gives the trace back.
+        """
+        for start in range(0, max(len(self), 1), rows):
+            part = slice(start, start + rows)
+            yield Block(
+                self.timestamps[part],
+                self.objects[part],
+                self.clients[part],
+                self.sizes[part],
+                self.cacheable[part],
+                None if self.origin_hit is None else self.origin_hit[part],
+                self.object_ids if start == 0 else (),
+                self.client_ids if start == 0 else (),
+            )
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -256,14 +336,14 @@ def parse_squid_log(stream: Iterable[str]) -> ParsedLog:
         )
     ts_column = np.array(timestamps, dtype=np.float64)
     order = np.argsort(ts_column, kind="stable")
-    object_table: dict[str, int] = {}
-    client_table: dict[str, int] = {}
+    objects, object_ids = _interned(urls, {})
+    client_codes, client_ids = _interned(clients, {})
     records = Trace(
         timestamps=ts_column[order],
-        objects=_interned(urls, object_table)[order],
-        object_ids=tuple(object_table),
-        clients=_interned(clients, client_table)[order],
-        client_ids=tuple(client_table),
+        objects=objects[order],
+        object_ids=object_ids,
+        clients=client_codes[order],
+        client_ids=client_ids,
         sizes=np.array(sizes, dtype=np.int64)[order],
         cacheable=np.array(cacheable, dtype=bool)[order],
         origin_hit=np.array(origin, dtype=np.int8)[order],
@@ -362,15 +442,17 @@ def _csv_rows(block: list[str], rest: Iterator[str]) -> Iterator[list[str]]:
         yield next(reader)
 
 
-def read_trace(stream: IO[str]) -> Trace:
-    """Read canonical CSV into a Trace; missing columns are fatal.
+def read_blocks(stream: IO[str]) -> Iterator[Block]:
+    """Read canonical CSV as a stream of Blocks; missing columns are fatal.
 
-    Rows are read in blocks.  A block with no quote or carriage return and
-    exactly one comma per column boundary on every line is split with
-    str.split; any other block goes through csv.reader, which handles
-    quoted ids.  Blank lines are skipped and extra columns ignored.  An
-    empty file, a missing column, a short row or a bad value raises
-    TraceFormatError; a bad row is named by its line.
+    Each block is parsed from up to _BLOCK_ROWS lines.  A block with no
+    quote or carriage return and exactly one comma per column boundary on
+    every line is split with str.split; any other block goes through
+    csv.reader, which handles quoted ids.  Blank lines are skipped and extra
+    columns ignored.  The stream ends with the block read from fewer than
+    _BLOCK_ROWS lines, which may be empty, so it holds at least one block.
+    An empty file, a missing column, a short row or a bad value raises
+    TraceFormatError where it is met; a bad row is named by its line.
     """
     try:
         header = next(csv.reader(stream))
@@ -385,10 +467,11 @@ def read_trace(stream: IO[str]) -> Trace:
     need = max(picks) + 1
     client_table: dict[str, int] = {}
     object_table: dict[str, int] = {}
-    parts: list[tuple[np.ndarray, ...]] = []
     lineno = 1
     lines = iter(stream)
-    while block := list(islice(lines, _BLOCK_ROWS)):
+
+    def parse(block: list[str]) -> Block:
+        nonlocal lineno
         text = "".join(block)
         if (
             '"' not in text
@@ -413,34 +496,116 @@ def read_trace(stream: IO[str]) -> Trace:
             columns = list(zip(*rows)) or [() for _ in picks]
         try:
             ts, client, obj, size, flag, *origin = columns
-            parts.append((
+            objects, new_objects = _interned(obj, object_table)
+            clients, new_clients = _interned(client, client_table)
+            return Block(
                 np.array(ts, dtype=np.float64),
-                _interned(obj, object_table),
-                _interned(client, client_table),
+                objects,
+                clients,
                 np.array(size, dtype=np.int64),
                 np.fromiter(map(_BOOL_TOKENS.__getitem__, flag), dtype=bool, count=len(flag)),
                 np.fromiter(map(_ORIGIN_TOKENS.__getitem__, origin[0]), dtype=np.int8,
                             count=len(flag)) if has_origin else None,
-            ))
+                new_objects,
+                new_clients,
+            )
         except (ValueError, KeyError, OverflowError) as exc:
             _check_rows(zip(*columns), linenos)
             raise TraceFormatError(
                 f"bad value in lines {linenos[0]}-{linenos[-1]}: {exc!r}"
             ) from exc
 
-    def column(i: int, dtype) -> np.ndarray:
-        return np.concatenate([p[i] for p in parts]) if parts else np.zeros(0, dtype=dtype)
+    while True:
+        block = list(islice(lines, _BLOCK_ROWS))
+        last = len(block) < _BLOCK_ROWS
+        parsed = parse(block)
+        del block  # hold no line of it while the caller works on the block
+        yield parsed
+        if last:
+            return
 
-    return Trace(
-        timestamps=column(0, np.float64),
-        objects=column(1, np.int32),
-        object_ids=tuple(object_table),
-        clients=column(2, np.int32),
-        client_ids=tuple(client_table),
-        sizes=column(3, np.int64),
-        cacheable=column(4, bool),
-        origin_hit=column(5, np.int8) if has_origin else None,
-    )
+
+def read_trace(stream: IO[str]) -> Trace:
+    """Read canonical CSV into a Trace: the concatenation of read_blocks."""
+    return Trace.from_blocks(read_blocks(stream))
+
+
+_Item = TypeVar("_Item")
+# Message kinds on read_ahead's pipe.
+_ITEM, _ERROR, _END = range(3)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _send(items: Iterable, pipe: IO[bytes]):
+    """Pickle items to pipe one by one, then the exception that ended them, or the end."""
+
+    def send(kind: int, value):
+        pickle.dump((kind, value), pipe, pickle.HIGHEST_PROTOCOL)
+        pipe.flush()  # the reader waits for the whole message
+
+    try:
+        for item in items:
+            send(_ITEM, item)
+    except Exception as exc:  # forwarded to the reading side, which raises it
+        send(_ERROR, exc)
+    else:
+        send(_END, None)
+
+
+def read_ahead(items: Iterable[_Item]) -> Iterator[_Item]:
+    """Yield items, produced by a forked child while the caller works.
+
+    The child sends each item over a pipe, and then the exception that
+    ended the items, which is raised here in stream order.  The pipe holds
+    far less than a block of trace columns, so the child waits on it once it
+    is one item ahead.  A child that ends without finishing the stream
+    raises RuntimeError.  The child is killed and reaped when the generator
+    finishes or is closed.  Without fork, with fewer than two usable CPUs,
+    or when no pipe or process can be made, the items are produced
+    in-process.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield from items
+        return
+    fds = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        yield from items
+        return
+    if pid == 0:
+        # The child: no cleanup of the parent's state, whatever happens.
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                _send(items, pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            while True:
+                try:
+                    kind, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise RuntimeError("trace reader ended before the end of the trace") from exc
+                if kind == _END:
+                    return
+                if kind == _ERROR:
+                    raise value
+                yield value
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def read_canonical_csv(stream: IO[str]) -> Iterator[TraceRecord]:

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from zcl import trace
 from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
 
 
@@ -15,3 +18,24 @@ def zipf08_million():
         seed=42,
     )
     return generate_synthetic_trace(spec)
+
+
+@pytest.fixture(params=[
+    pytest.param(1, id="in-process"),
+    pytest.param(2, id="forked",
+                 marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")),
+])
+def read_mode(request, monkeypatch):
+    """trace.read_ahead in-process (one usable CPU) or forked (two); gives the pids forked."""
+    monkeypatch.setattr(trace, "_usable_cpus", lambda: request.param)
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import zcl
+from zcl import trace as trace_module
 from zcl.cli import main
 from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
-from zcl.trace import _csv_field, read_canonical_csv, write_canonical_csv
+from zcl.trace import _csv_field, read_canonical_csv, read_trace, write_canonical_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -37,9 +38,11 @@ def objects_cfg(path, capacity, policy="lru", **extra):
     return write(path, "\n".join(lines) + "\n")
 
 
+HEADER = "timestamp_s,client_id,object_id,size_bytes,cacheable\n"
+
+
 def trace_csv(path, rows):
-    head = "timestamp_s,client_id,object_id,size_bytes,cacheable\n"
-    return write(path, head + "".join(rows))
+    return write(path, HEADER + "".join(rows))
 
 
 def row(t, obj, size=1, cacheable=1):
@@ -239,6 +242,121 @@ def test_simulate_bad_config_key_exits_2(tmp_path):
     trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A")])
     cfg = write(tmp_path / "c.cfg", "capacity_bytes=5\nwhatever=1\n")
     assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+
+
+# --- simulate through the forked reader -------------------------------------------
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+TRACE_ERRORS = {
+    "empty file": b"",
+    "missing column": b"timestamp_s,client_id,object_id,cacheable\n0.0,c0,A,1\n",
+    "short row": (HEADER + "0.0,c0,A,1,1\n1.0,c0,B,1\n").encode(),
+    "bad float": (HEADER + "0.0,c0,A,1,1\nx1.0,c0,B,1,1\n").encode(),
+    "bad int": (HEADER + "0.0,c0,A,1,1\n1.0,c0,B,1.5,1\n").encode(),
+    "bad bool": (HEADER + "0.0,c0,A,1,1\n1.0,c0,B,1,yes\n").encode(),
+    "invalid utf-8": (HEADER + "0.0,c0,A,1,1\n").encode() + b"1.0,c0,\xff,1,1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_ERRORS))
+def test_simulate_reports_trace_errors_as_read_trace_raises_them(tmp_path, capsys, read_mode, case):
+    path = tmp_path / "t.csv"
+    path.write_bytes(TRACE_ERRORS[case])
+    with pytest.raises(ValueError) as raised, open(path, encoding="utf-8") as f:
+        read_trace(f)
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    assert main(["simulate", str(path), cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert len(read_mode) == (trace_module._usable_cpus() > 1)
+    assert_reaped(read_mode)
+
+
+@pytest.mark.parametrize("rows, code", [
+    ([row(0.0, "A"), row(1.0, "B"), row(2.0, "A")], 0),
+    ([row(0.0, "A"), "x,c0,B,1,1\n"], 2),
+    ([row(2.0, "A"), row(1.0, "B")], 2),  # fails in the replay
+], ids=["success", "format-error", "replay-error"])
+def test_simulate_leaves_no_reader_process(tmp_path, capsys, read_mode, rows, code):
+    trace = trace_csv(tmp_path / "t.csv", rows)
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == code
+    assert_reaped(read_mode)
+
+
+def test_simulate_read_error_after_open_exits_2(tmp_path, capsys, monkeypatch, read_mode):
+    real = trace_module.read_blocks
+
+    def failing(stream):
+        yield next(real(stream))
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(trace_module, "read_blocks", failing)
+    trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A"), row(1.0, "B")])
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read trace {trace}: [Errno 5] Input/output error\n"
+
+
+def test_simulate_exits_1_when_the_reader_dies(tmp_path):
+    rows = [row(float(t), f"o{t % 5}") for t in range(40)]
+    trace = trace_csv(tmp_path / "t.csv", rows)
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    script = (
+        "import os, signal, sys\n"
+        "from zcl import cli, trace\n"
+        "real = trace.read_blocks\n"
+        "def dying(stream):\n"
+        "    blocks = real(stream)\n"
+        "    yield next(blocks)\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "trace.read_blocks = dying\n"
+        "trace._BLOCK_ROWS = 4\n"
+        "trace._usable_cpus = lambda: 2\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src_dir = Path(zcl.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script, "simulate", trace, cfg, "--out", str(tmp_path / "r.json")],
+        env=dict(os.environ, PYTHONPATH=str(src_dir)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("internal error: trace reader ended before the end")
+
+
+def test_simulate_trace_error_wins_over_an_earlier_order_error(
+    tmp_path, capsys, monkeypatch, read_mode
+):
+    # Blocks of two rows: block 1 holds a decreasing pair, block 3 a bad row.
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 2)
+    rows = [row(2.0, "A"), row(1.0, "B"), row(3.0, "C"), row(4.0, "D"), row(5.0, "E"),
+            "6.0,c0,F,1,maybe\n"]
+    trace = trace_csv(tmp_path / "t.csv", rows)
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: line 7: bad boolean 'maybe' in column cacheable\n"
+
+
+def test_simulate_trace_error_wins_over_a_config_error(tmp_path, capsys, read_mode):
+    trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A"), "1.0,c0,B,1\n"])
+    cfg = write(tmp_path / "c.cfg", "capacity_bytes=5\nwhatever=1\n")
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: line 3: row has too few columns\n"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    src_dir = Path(zcl.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, zcl.cli; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src_dir)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False", done.stderr
 
 
 # --- model ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import random
 import re
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from zcl import model
 from zcl import simcache as simcache_module
+from zcl import trace as trace_module
 from zcl.simcache import (
     HIT,
     MISS,
@@ -15,9 +17,9 @@ from zcl.simcache import (
     UNCACHEABLE,
     CacheConfig,
     CacheSim,
-    Eviction,
     Policy,
     compare_policies,
+    replay,
     simulate,
 )
 from zcl.synth import (
@@ -26,7 +28,7 @@ from zcl.synth import (
     TwoValuedRenewal,
     generate_synthetic_trace,
 )
-from zcl.trace import Trace, TraceRecord
+from zcl.trace import Trace, TraceRecord, read_blocks, write_canonical_csv
 
 DAY = 86_400.0
 
@@ -40,8 +42,8 @@ def objects_config(capacity, policy=Policy.LRU, **kw):
 
 
 def engine_evictions(sim):
-    """The eviction log so far, read mid-stream from the engine's plain tuples."""
-    return [Eviction._make(entry) for entry in sim._engine.evictions]
+    """The eviction log so far, read mid-stream from the engine."""
+    return list(sim._engine.evictions)
 
 
 # --- basic contracts ------------------------------------------------------------
@@ -470,16 +472,41 @@ def replay_cases(draw):
         st.sampled_from(AWKWARD_IDS + ["never-requested"]),
         st.lists(st.floats(min_value=0.0, max_value=t + 1.0), max_size=4).map(sorted),
     ))
-    config = CacheConfig(
-        capacity_bytes=draw(st.integers(min_value=1, max_value=80)),
-        policy=draw(st.sampled_from(list(Policy))),
-        kernel_fraction=draw(st.sampled_from([0.25, 0.5])),
-        managing_capacity=draw(st.sampled_from([None, 1, 3])),
-        byte_accounting=draw(st.booleans()),
+    return records, changes, draw(cache_configs(st.sampled_from(list(Policy))))
+
+
+def cache_configs(policies):
+    """Small configurations of the drawn policies, sized for replay_cases."""
+    return st.builds(
+        CacheConfig,
+        capacity_bytes=st.integers(min_value=1, max_value=80),
+        policy=policies,
+        kernel_fraction=st.sampled_from([0.25, 0.5]),
+        managing_capacity=st.sampled_from([None, 1, 3]),
+        byte_accounting=st.booleans(),
         # 1000, the default, is longer than any drawn trace.
-        occupancy_stride=draw(st.integers(min_value=1, max_value=7) | st.just(1000)),
+        occupancy_stride=st.integers(min_value=1, max_value=7) | st.just(1000),
     )
-    return records, changes, config
+
+
+def process_checked(records, config, changes):
+    """CacheSim.process over records, checking the engine after every event.
+
+    After each admission the managing part must be within its bound, unless
+    no ghost was left to drop: only admissions enforce the bound.
+    """
+    sim = CacheSim(config, changes)
+    engine = sim._engine
+    zipf = config.policy is Policy.ZIPF_CONSTRUCTION
+    for r in records:
+        admitting = zipf and r.cacheable and r.object_id not in engine.managing
+        sim.process(r)
+        sim.check_invariants()
+        if admitting:
+            assert len(engine.managing) <= engine._managing_bound() or all(
+                stats.resident for stats in engine.managing.values()
+            )
+    return sim.result()
 
 
 @given(case=replay_cases())
@@ -487,11 +514,7 @@ def replay_cases(draw):
 def test_simulate_equals_per_event_process(case):
     """simulate over a Trace (int keys) against CacheSim.process over records (id keys)."""
     records, changes, config = case
-    sim = CacheSim(config, changes)
-    for r in records:
-        sim.process(r)
-        sim.check_invariants()
-    expected = sim.result()
+    expected = process_checked(records, config, changes)
     for block in (1, 7, 1 << 16):  # replay blocks of one, several and all requests
         with mock.patch.object(simcache_module, "_REPLAY_BLOCK", block):
             got = simulate(Trace.from_records(records), config, changes)
@@ -499,6 +522,31 @@ def test_simulate_equals_per_event_process(case):
         assert got.evictions == expected.evictions
         assert got.occupancy == expected.occupancy
         assert got.bypassed_objects == expected.bypassed_objects
+
+
+@given(case=replay_cases(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_lockstep_replay_equals_per_config_process(case, data):
+    """compare_policies and replay over CSV blocks, every config in one pass,
+    against one CacheSim.process run per config."""
+    records, changes, _ = case
+    configs = [
+        data.draw(cache_configs(st.just(Policy.LRU))),
+        data.draw(cache_configs(st.just(Policy.ZIPF_CONSTRUCTION))),
+    ]
+    configs += data.draw(st.lists(cache_configs(st.sampled_from(list(Policy))), max_size=1))
+    configs = data.draw(st.permutations(configs))
+    changes = data.draw(st.sampled_from([changes, None]))
+    expected = [process_checked(records, config, changes) for config in configs]
+    text = io.StringIO()
+    write_canonical_csv(records, text)
+    for block in (1, 7, 1 << 16):
+        with mock.patch.object(simcache_module, "_REPLAY_BLOCK", block):
+            assert compare_policies(Trace.from_records(records), configs, changes) == expected
+        # Streamed blocks bring their ids one block at a time.
+        with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
+            streamed = replay(read_blocks(io.StringIO(text.getvalue())), configs, changes)
+        assert streamed == expected
 
 
 @pytest.mark.parametrize("policy", list(Policy))

@@ -12,6 +12,8 @@ from zcl.trace import (
     TraceFormatError,
     TraceRecord,
     parse_squid_log,
+    read_ahead,
+    read_blocks,
     read_canonical_csv,
     read_change_log_csv,
     read_trace,
@@ -272,3 +274,57 @@ def test_block_reader_and_writer_match_csv_module(records, data):
     for block_rows in (1, 2, 3, 1 << 16):
         with mock.patch.object(trace_module, "_BLOCK_ROWS", block_rows):
             assert list(read_trace(io.StringIO(text))) == expected
+
+
+# --- block stream and the forked reader ------------------------------------------------
+
+
+PLAIN_RECORDS = [
+    TraceRecord(float(t), f"c{t % 3}", f"o{t % 11}", t + 1, t % 4 != 0) for t in range(40)
+]
+# Ids with line breaks make quoted fields that run past the end of a block.
+QUOTED_IDS = ["a", "x\ny", 'say "hi"', "p\nq\nr", "b,c"]
+QUOTED_RECORDS = [
+    TraceRecord(float(t), "c,0", QUOTED_IDS[t % 5], 7, True, t % 2 == 0) for t in range(40)
+]
+
+
+@pytest.mark.parametrize("block_rows", [2, 7])
+@pytest.mark.parametrize("records", [PLAIN_RECORDS, QUOTED_RECORDS], ids=["plain", "quoted"])
+def test_read_ahead_blocks_concatenate_to_read_trace(monkeypatch, read_mode, block_rows, records):
+    buf = io.StringIO()
+    write_canonical_csv(records, buf)
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
+    blocks = list(read_ahead(read_blocks(io.StringIO(buf.getvalue()))))
+    whole = read_trace(io.StringIO(buf.getvalue()))
+    assert len(read_mode) == (trace_module._usable_cpus() > 1)
+    assert len(blocks) > 40 // block_rows
+    assert Trace.from_blocks(blocks) == whole == Trace.from_records(records)
+    assert Trace.from_blocks(blocks).object_ids == whole.object_ids
+    seen: set[str] = set()
+    for block in blocks:
+        first_seen = dict.fromkeys(whole.object_ids[code] for code in block.objects.tolist())
+        assert block.new_object_ids == tuple(obj for obj in first_seen if obj not in seen)
+        seen.update(first_seen)
+
+
+@pytest.mark.parametrize("rows", [0, 6, 7])
+def test_trace_blocks_roundtrip(rows):
+    trace = Trace.from_records(PLAIN_RECORDS[:rows])
+    blocks = list(trace.blocks(3))
+    assert len(blocks) == max(1, -(-rows // 3))
+    back = Trace.from_blocks(blocks)
+    assert back == trace and back.object_ids == trace.object_ids
+
+
+def test_read_ahead_reads_in_process_when_fork_fails(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(trace_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(trace_module.os, "fork", no_fork)
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 7)
+    buf = io.StringIO()
+    write_canonical_csv(PLAIN_RECORDS, buf)
+    blocks = read_ahead(read_blocks(io.StringIO(buf.getvalue())))
+    assert Trace.from_blocks(blocks) == Trace.from_records(PLAIN_RECORDS)
