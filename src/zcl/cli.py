@@ -103,41 +103,49 @@ def _parse_flat_config(path: str) -> dict[str, str]:
     return pairs
 
 
-_CONFIG_KEYS = {
-    "capacity_bytes",
-    "policy",
-    "kernel_fraction",
-    "managing_capacity",
-    "byte_accounting",
-    "occupancy_stride",
+def _parse_policy(value: str) -> simcache.Policy:
+    try:
+        return simcache.Policy(value)
+    except ValueError:
+        raise InputError(
+            f"policy must be one of {[p.value for p in simcache.Policy]}, got {value!r}"
+        )
+
+
+_FLAG_TOKENS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_byte_accounting(value: str) -> bool:
+    token = value.lower()
+    if token not in _FLAG_TOKENS:
+        raise ValueError(f"byte_accounting must be 1/true/yes or 0/false/no, got {value!r}")
+    return _FLAG_TOKENS[token]
+
+
+# The parser of each config key's value; a key the file leaves out takes
+# CacheConfig's default.
+_CONFIG_PARSERS = {
+    "capacity_bytes": int,
+    "policy": _parse_policy,
+    "kernel_fraction": float,
+    "managing_capacity": int,
+    "byte_accounting": _parse_byte_accounting,
+    "occupancy_stride": int,
 }
 
 
 def _cache_config(pairs: dict[str, str]) -> simcache.CacheConfig:
-    unknown = set(pairs) - _CONFIG_KEYS
+    unknown = set(pairs) - set(_CONFIG_PARSERS)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
     if "capacity_bytes" not in pairs:
         raise InputError("config needs capacity_bytes")
     try:
-        policy = simcache.Policy(pairs.get("policy", "lru"))
-    except ValueError:
-        raise InputError(
-            f"policy must be one of {[p.value for p in simcache.Policy]}, "
-            f"got {pairs.get('policy')!r}"
-        )
-    try:
         return simcache.CacheConfig(
-            capacity_bytes=int(pairs["capacity_bytes"]),
-            policy=policy,
-            kernel_fraction=float(pairs.get("kernel_fraction", 1.0 / 3.0)),
-            managing_capacity=(
-                int(pairs["managing_capacity"]) if "managing_capacity" in pairs else None
-            ),
-            byte_accounting=pairs.get("byte_accounting", "true").lower()
-            in ("1", "true", "yes"),
-            occupancy_stride=int(pairs.get("occupancy_stride", "1000")),
+            **{key: _CONFIG_PARSERS[key](value) for key, value in pairs.items()}
         )
+    except InputError:
+        raise
     except ValueError as exc:
         raise InputError(f"bad cache config: {exc}")
 
@@ -388,11 +396,16 @@ def cmd_report(args, manifest) -> int:
     for path in args.results:
         try:
             with open(path, encoding="utf-8") as f:
-                rows.append(json.load(f))
+                doc = json.load(f)
         except OSError as exc:
             raise InputError(f"cannot read result {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise InputError(f"{path} is not JSON: {exc}")
+        # A multi-config `simulate` writes a list of result rows.
+        found = doc if isinstance(doc, list) else [doc]
+        if not all(isinstance(row, dict) for row in found):
+            raise InputError(f"{path} holds neither a result object nor a list of them")
+        rows += found
     if not rows:
         raise InputError("empty result set")
 

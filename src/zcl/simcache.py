@@ -20,16 +20,19 @@ Capacity is accounted in bytes by default; with byte_accounting off every
 object charges exactly 1, which is the objects-mode used when comparing
 against size-free analytical results.
 
-An engine per policy holds the cache state, the request counts and the
-change log; its access(obj, now, size) applies one cacheable request.
-Two front ends drive it.  CacheSim.process takes one TraceRecord at a time
-and is the per-event reference.  replay takes a stream of trace blocks
+An engine per policy holds only the policy state: the cache parts, the
+request counts, the change log, the eviction log and a count of bypasses
+(requests whose object could not be placed).  Its access(obj, now, charge)
+applies one cacheable request; the front end that drives it resolves the
+charge, the size or 1, so no engine knows the accounting mode.  Two front
+ends drive it.  CacheSim.process takes one TraceRecord at a time and is
+the per-event reference.  replay takes a stream of trace blocks
 (trace.Block) and replays each one through every configuration in
 lockstep: numpy does the per-event bookkeeping (the order check, request
 and byte totals, uncacheable requests, the occupancy sample points), and
 Python calls access once per cacheable request and nothing else.  Both give
 identical results.  simulate and compare_policies replay a whole Trace in
-blocks of _REPLAY_BLOCK requests; `zcl simulate` replays the blocks of
+the blocks of Trace.blocks; `zcl simulate` replays the blocks of
 trace.read_blocks as they are parsed, so it never holds the whole trace.
 """
 
@@ -41,6 +44,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,9 +92,10 @@ class CacheConfig:
     kernel_fraction splits cacheable capacity between kernel and accessory
     (ZIPF_CONSTRUCTION only; the managing part consumes no object capacity).
     managing_capacity bounds retained statistics entries; None means 10x the
-    estimated number of objects that fit the cache (estimated from the mean
-    size of objects seen so far, floor 100).  occupancy_stride controls how
-    often the per-part occupancy series is sampled, in events.
+    number of objects that fit the cache: 10x capacity in objects mode, and
+    in byte mode estimated from the mean size of objects seen so far, floor
+    100.  occupancy_stride controls how often the per-part occupancy series
+    is sampled, in events.
     """
 
     capacity_bytes: int
@@ -147,7 +152,6 @@ class SimulationResult:
     end_ts: float = 0.0
     evictions: list[Eviction] = field(default_factory=list)
     occupancy: list[OccupancySample] = field(default_factory=list)
-    bypassed_objects: frozenset[str] = frozenset()
 
     @property
     def cacheable_requests(self) -> int:
@@ -193,29 +197,29 @@ class _Stats:
         "last_fetch",
         "resident",
         "in_kernel",
-        "size",
+        "charge",
         "residency_start",
     )
 
-    def __init__(self, now: float, size: int, earlier: int):
+    def __init__(self, now: float, charge: int, earlier: int):
         self.count = 1
         self.earlier = earlier
         self.last_request = now
         self.last_fetch = now
         self.resident = False
         self.in_kernel = False
-        self.size = size
+        self.charge = charge
         self.residency_start = now
 
 
 class _Engine:
     """What both policies share: request counts of dropped entries, freshness,
-    charges, bypasses and the eviction log.
+    the bypass count and the eviction log.
 
-    access(obj, now, size) applies one cacheable request and returns _HIT,
-    _STALE_MISS or _MISS.  The eviction log holds one Eviction per eviction,
-    built when it happens with the object's id: ids[obj], or obj itself when
-    ids is None.
+    access(obj, now, charge) applies one cacheable request that takes charge
+    units of capacity and returns _HIT, _STALE_MISS or _MISS.  The eviction
+    log holds one Eviction per eviction, built when it happens with the
+    object's id: ids[obj], or obj itself when ids is None.
     """
 
     def __init__(
@@ -225,15 +229,13 @@ class _Engine:
         ids: Sequence[str] | None,
     ):
         self.capacity = config.capacity_bytes
-        self.byte_accounting = config.byte_accounting
         self.changes = changes  # empty when there is no change log
         self.ids = ids
         # Global request counts of objects whose entry was dropped; a new
         # entry takes its object's count from here.
         self._dropped: dict[Hashable, int] = {}
         self.evictions: list[Eviction] = []
-        self.bypassed: set[Hashable] = set()
-        self.bypass_events = 0
+        self.bypassed = 0
 
     def _fresh(self, obj: Hashable, last_fetch: float, now: float) -> bool:
         """Whether a copy fetched at last_fetch is still current at now."""
@@ -243,18 +245,11 @@ class _Engine:
         i = bisect_right(times, now)
         return i == 0 or times[i - 1] <= last_fetch
 
-    def _new_entry(self, obj: Hashable, now: float, size: int) -> _Stats:
-        return _Stats(now, size, self._dropped.pop(obj, 0))
+    def _new_entry(self, obj: Hashable, now: float, charge: int) -> _Stats:
+        return _Stats(now, charge, self._dropped.pop(obj, 0))
 
     def _drop(self, obj: Hashable, stats: _Stats):
         self._dropped[obj] = stats.earlier + stats.count
-
-    def _charge(self, size: int) -> int:
-        return size if self.byte_accounting else 1
-
-    def _bypass(self, obj: Hashable):
-        self.bypassed.add(obj)
-        self.bypass_events += 1
 
     def _log_eviction(self, obj: Hashable, stats: _Stats, now: float):
         object_id = obj if self.ids is None else self.ids[obj]
@@ -274,7 +269,7 @@ class _LruEngine(_Engine):
         self.entries: OrderedDict[Hashable, _Stats] = OrderedDict()
         self.used = 0
 
-    def access(self, obj: Hashable, now: float, size: int) -> int:
+    def access(self, obj: Hashable, now: float, charge: int) -> int:
         entry = self.entries.get(obj)
         if entry is not None:
             entry.count += 1
@@ -283,17 +278,16 @@ class _LruEngine(_Engine):
                 entry.last_fetch = now
                 return _STALE_MISS
             return _HIT
-        entry = self._new_entry(obj, now, size)
-        charge = self._charge(size)
+        entry = self._new_entry(obj, now, charge)
         if charge > self.capacity:
-            self._bypass(obj)
+            self.bypassed += 1
             self._drop(obj, entry)
             return _MISS
         self.entries[obj] = entry
         self.used += charge
         while self.used > self.capacity:
             victim_id, victim = self.entries.popitem(last=False)
-            self.used -= self._charge(victim.size)
+            self.used -= victim.charge
             self._log_eviction(victim_id, victim, now)
             self._drop(victim_id, victim)
         return _MISS
@@ -303,7 +297,7 @@ class _LruEngine(_Engine):
 
     def check_invariants(self):
         assert self.used <= self.capacity, "LRU over capacity"
-        assert self.used == sum(self._charge(e.size) for e in self.entries.values())
+        assert self.used == sum(e.charge for e in self.entries.values())
 
 
 class _ZipfEngine(_Engine):
@@ -318,7 +312,6 @@ class _ZipfEngine(_Engine):
         super().__init__(config, changes, ids)
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
-        self.managing_capacity = config.managing_capacity
         self.managing: dict[Hashable, _Stats] = {}
         self.accessory: OrderedDict[Hashable, None] = OrderedDict()
         self.kernel_bytes = 0
@@ -331,9 +324,14 @@ class _ZipfEngine(_Engine):
         # order but leave by last request, so a FIFO queue would drop wrong ones.
         self._ghost_heap: list[tuple[float, int, Hashable]] = []
         self._seq = 0
-        # Running mean object size, for the auto managing bound.
-        self._size_sum = 0
-        self._size_n = 0
+        # The managing bound when it does not follow the mean charge: the
+        # configured one, or in objects mode 10x the objects that fit.
+        self._fixed_bound = config.managing_capacity
+        if self._fixed_bound is None and not config.byte_accounting:
+            self._fixed_bound = 10 * self.capacity
+        # Running mean charge, for the bound that is not fixed.
+        self._charge_sum = 0
+        self._charge_n = 0
         # The bound at the largest charge admitted so far.  The mean never
         # exceeds it, so the bound is at least this; it changes only when a
         # larger charge arrives.
@@ -342,12 +340,10 @@ class _ZipfEngine(_Engine):
 
     def _managing_bound(self, mean: float | None = None) -> int:
         """Bound on managing entries; mean, if given, stands in for the mean charge."""
-        if self.managing_capacity is not None:
-            return self.managing_capacity
-        if not self.byte_accounting:
-            return 10 * self.capacity
+        if self._fixed_bound is not None:
+            return self._fixed_bound
         if mean is None:
-            mean = self._size_sum / self._size_n if self._size_n else 1.0
+            mean = self._charge_sum / self._charge_n if self._charge_n else 1.0
         return max(100, int(10 * self.capacity / max(mean, 1.0)))
 
     def _push_ghost(self, obj: Hashable, stats: _Stats):
@@ -376,7 +372,7 @@ class _ZipfEngine(_Engine):
                 del self._kernel[count]
                 del self._kernel_counts[0]
             stats = self.managing[obj]
-            self.kernel_bytes -= self._charge(stats.size)
+            self.kernel_bytes -= stats.charge
             self._end_residency(obj, stats, now)
 
     def _insert_kernel(self, obj: Hashable, stats: _Stats, now: float) -> bool:
@@ -385,7 +381,7 @@ class _ZipfEngine(_Engine):
         False if it cannot fit even an empty kernel.  An object that is itself
         the minimum leaves again at once; that zero-length residency is logged.
         """
-        charge = self._charge(stats.size)
+        charge = stats.charge
         if charge > self.kernel_capacity:
             return False
         stats.resident = True
@@ -396,7 +392,7 @@ class _ZipfEngine(_Engine):
         return True
 
     def _insert_accessory(self, obj: Hashable, stats: _Stats, now: float) -> bool:
-        charge = self._charge(stats.size)
+        charge = stats.charge
         if charge > self.accessory_capacity:
             return False
         stats.resident = True
@@ -409,7 +405,7 @@ class _ZipfEngine(_Engine):
         while self.accessory_bytes > self.accessory_capacity:
             victim_id, _ = self.accessory.popitem(last=False)
             victim = self.managing[victim_id]
-            self.accessory_bytes -= self._charge(victim.size)
+            self.accessory_bytes -= victim.charge
             self._end_residency(victim_id, victim, now)
         return True
 
@@ -426,22 +422,21 @@ class _ZipfEngine(_Engine):
             self._drop(obj, stats)
         # All remaining entries may be resident; those are never dropped.
 
-    def access(self, obj: Hashable, now: float, size: int) -> int:
+    def access(self, obj: Hashable, now: float, charge: int) -> int:
         stats = self.managing.get(obj)
 
         if stats is None:
             # Admission: first request ever seen for this object, or the
             # first since its entry was dropped.
-            stats = self._new_entry(obj, now, size)
+            stats = self._new_entry(obj, now, charge)
             self.managing[obj] = stats
-            charge = self._charge(size)
-            self._size_sum += charge
-            self._size_n += 1
+            self._charge_sum += charge
+            self._charge_n += 1
             if charge > self._largest_charge:
                 self._largest_charge = charge
                 self._managing_floor = self._managing_bound(charge)
             if not self._insert_accessory(obj, stats, now):
-                self._bypass(obj)
+                self.bypassed += 1
                 self._push_ghost(obj, stats)
             self._enforce_managing_bound()
             return _MISS
@@ -477,9 +472,9 @@ class _ZipfEngine(_Engine):
                 # Promotion: a repeat request moves it from accessory to the
                 # kernel; residency_start is kept, so residence spans both parts.
                 del self.accessory[obj]
-                self.accessory_bytes -= self._charge(stats.size)
+                self.accessory_bytes -= stats.charge
                 if not self._insert_kernel(obj, stats, now):
-                    self._bypass(obj)
+                    self.bypassed += 1
                     self._end_residency(obj, stats, now)
             return outcome
 
@@ -488,7 +483,7 @@ class _ZipfEngine(_Engine):
         stats.last_fetch = now
         stats.residency_start = now
         if not self._insert_kernel(obj, stats, now):
-            self._bypass(obj)
+            self.bypassed += 1
             self._push_ghost(obj, stats)
         return _MISS
 
@@ -504,11 +499,11 @@ class _ZipfEngine(_Engine):
                 continue
             if stats.in_kernel:
                 assert stats.count >= 2, f"kernel object {obj} with count {stats.count}"
-                k_bytes += self._charge(stats.size)
+                k_bytes += stats.charge
             else:
                 assert obj in self.accessory
                 assert stats.count == 1, f"accessory object {obj} with count {stats.count}"
-                a_bytes += self._charge(stats.size)
+                a_bytes += stats.charge
         assert k_bytes == self.kernel_bytes and a_bytes == self.accessory_bytes
         for obj in self.accessory:
             assert self.managing[obj].resident and not self.managing[obj].in_kernel
@@ -545,8 +540,8 @@ class CacheSim:
     feeding events one by one gives exactly the result ``simulate`` gives
     over the same stream.  Object keys are opaque to the simulator: whatever
     ``process`` (or ``replay``, with int codes) passes in is what the change
-    log is keyed by.  The eviction log and bypassed objects hold ids[key],
-    or the key itself when ids is None.
+    log is keyed by.  The eviction log holds ids[key], or the key itself
+    when ids is None.
     """
 
     def __init__(
@@ -584,7 +579,8 @@ class CacheSim:
             r.origin_bytes += size
             outcome = UNCACHEABLE
         else:
-            outcome = _OUTCOMES[self._engine.access(rec.object_id, now, size)]
+            charge = size if self.config.byte_accounting else 1
+            outcome = _OUTCOMES[self._engine.access(rec.object_id, now, charge)]
             if outcome == HIT:
                 r.hits += 1
                 r.hit_bytes += size
@@ -600,15 +596,17 @@ class CacheSim:
             r.occupancy.append(self._engine.occupancy(now))
         return outcome
 
-    def _replay(self, block: Block, cacheable: np.ndarray, requests: tuple[list, list, list]):
+    def _replay(
+        self, block: Block, cacheable: np.ndarray, requests: tuple[list, list, Iterable[int]]
+    ):
         """Apply a block of requests, as process would one by one.
 
         cacheable indexes the block's cacheable requests, and requests holds
-        their object codes, timestamps and sizes as lists, made once for
-        every configuration.  numpy does the per-event bookkeeping (order
-        check, totals, the uncacheable requests); Python runs only the
-        engine, once per cacheable request, pausing at each occupancy sample
-        point.
+        their object codes and timestamps as lists, made once for every
+        configuration, and this configuration's charges.  numpy does the
+        per-event bookkeeping (order check, totals, the uncacheable
+        requests); Python runs only the engine, once per cacheable request,
+        pausing at each occupancy sample point.
         """
         times = block.timestamps
         n = len(times)
@@ -666,20 +664,9 @@ class CacheSim:
             self._finalized = True
             if self._events % self.config.occupancy_stride != 0 and self._last_ts is not None:
                 r.occupancy.append(self._engine.occupancy(self._last_ts))
-        engine = self._engine
-        r.evictions = list(engine.evictions)
-        if engine.ids is None:
-            r.bypassed_objects = frozenset(engine.bypassed)
-        else:
-            r.bypassed_objects = frozenset(engine.ids[obj] for obj in engine.bypassed)
-        r.bypassed = engine.bypass_events
+        r.evictions = list(self._engine.evictions)
+        r.bypassed = self._engine.bypassed
         return r
-
-
-# simulate replays this many requests at a time, so the per-block lists and
-# arrays stay small: less memory, and the garbage collector's full passes
-# do not walk one list entry per request of the whole trace.
-_REPLAY_BLOCK = 1 << 16
 
 
 def replay(
@@ -692,7 +679,8 @@ def replay(
     Each block is replayed through every configuration before the next is
     taken, with int object codes as keys.  As each block brings its new ids,
     they join the id table the eviction logs read and the change log is
-    re-keyed to their codes.
+    re-keyed to their codes.  Each configuration is given the block's
+    charges: its cacheable sizes in byte accounting, 1 each in objects mode.
     """
     if not configs:
         raise ValueError("need at least one configuration")
@@ -706,13 +694,14 @@ def replay(
                     keyed[code] = changes[obj]
         ids += block.new_object_ids
         cacheable = np.flatnonzero(block.cacheable)
-        requests = (
-            block.objects[cacheable].tolist(),
-            block.timestamps[cacheable].tolist(),
-            block.sizes[cacheable].tolist(),
-        )
+        objects = block.objects[cacheable].tolist()
+        times = block.timestamps[cacheable].tolist()
+        charges: dict[bool, Iterable[int]] = {}  # by byte_accounting, made once per block
         for sim in sims:
-            sim._replay(block, cacheable, requests)
+            bytes_mode = sim.config.byte_accounting
+            if bytes_mode not in charges:
+                charges[bytes_mode] = block.sizes[cacheable].tolist() if bytes_mode else repeat(1)
+            sim._replay(block, cacheable, (objects, times, charges[bytes_mode]))
     return [sim.result() for sim in sims]
 
 
@@ -724,7 +713,7 @@ def simulate(
     """Run one configuration over a time-ordered record stream.
 
     The records (a Trace, or any record iterable, converted once) are
-    replayed in blocks of _REPLAY_BLOCK requests; see replay.
+    replayed in the blocks of Trace.blocks; see replay.
     """
     return compare_policies(records, [config], changes)[0]
 
@@ -735,4 +724,4 @@ def compare_policies(
     changes: dict[str, Sequence[float]] | None = None,
 ) -> list[SimulationResult]:
     """Simulate several configurations, in config order, over the identical record stream."""
-    return replay(Trace.from_records(records).blocks(_REPLAY_BLOCK), configs, changes)
+    return replay(Trace.from_records(records).blocks(), configs, changes)

@@ -7,17 +7,21 @@ understood: the project's canonical CSV (lossless round trip) and the
 native Squid access log layout (read-only).  Both are read and written in
 blocks of rows, so no per-request object is built on the way.
 
-read_blocks parses canonical CSV as a stream of Blocks, each holding its
-rows' columns and only the ids first seen in it; read_trace is their
-concatenation.  read_ahead runs such a stream in a forked child, one block
-ahead of the caller, so that `zcl simulate` replays each block while the
-next one is parsed and never holds the whole trace.
+read_blocks parses canonical CSV as a stream of Blocks of up to _BLOCK_ROWS
+lines, each holding its rows' columns and only the ids first seen in it;
+read_trace is their concatenation.  A timestamp must be finite and a size at
+least 1.  Trace.blocks cuts a Trace into Blocks of the same number of rows
+by default, the blocks the simulator replays one at a time.  read_ahead
+runs such a stream in a forked child, one block ahead of the caller, so
+that `zcl simulate` replays each block while the next one is parsed and
+never holds the whole trace.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import pickle
 import re
@@ -210,12 +214,15 @@ class Trace:
             origin_hit=None if blocks[0].origin_hit is None else column("origin_hit"),
         )
 
-    def blocks(self, rows: int) -> Iterator[Block]:
-        """The trace as a stream of Blocks of up to rows requests.
+    def blocks(self, rows: int | None = None) -> Iterator[Block]:
+        """The trace as a stream of Blocks of up to rows requests, by default
+        the _BLOCK_ROWS that read_blocks parses at a time.
 
         The first block carries every id, and an empty trace is one empty
         block, so from_blocks gives the trace back.
         """
+        if rows is None:
+            rows = _BLOCK_ROWS
         for start in range(0, max(len(self), 1), rows):
             part = slice(start, start + rows)
             yield Block(
@@ -293,8 +300,9 @@ def parse_squid_log(stream: Iterable[str]) -> ParsedLog:
     half of all non-blank lines, which signals the wrong file and raises
     TraceFormatError.  Records are returned sorted by timestamp, stably
     (Squid logs at completion time, so lines can be slightly out of order).
-    A byte count below 1 is clamped to 1.  CONNECT tunnels are uncacheable
-    regardless of the action code.
+    A negative or non-finite timestamp makes a line malformed; a byte count
+    below 1 is clamped to 1.  CONNECT tunnels are uncacheable regardless of
+    the action code.
     """
     timestamps: list[float] = []
     clients: list[str] = []
@@ -318,7 +326,7 @@ def parse_squid_log(stream: Iterable[str]) -> ParsedLog:
         except ValueError:
             malformed += 1
             continue
-        if ts < 0:
+        if ts < 0 or not math.isfinite(ts):
             malformed += 1
             continue
         action = fields[3].split("/", 1)[0]
@@ -403,6 +411,7 @@ def _check_rows(rows: Iterable[Sequence[str] | None], linenos: Iterable[int]):
     The reference for the block conversion in read_trace, run only once
     that conversion failed, to name the line.  A row is (timestamp, client,
     object, size, cacheable[, origin_hit]), or None when it was too short.
+    The timestamp must be finite and the size at least 1.
     """
     for row, lineno in zip(rows, linenos):
         try:
@@ -410,36 +419,16 @@ def _check_rows(rows: Iterable[Sequence[str] | None], linenos: Iterable[int]):
                 raise IndexError("row has too few columns")
             if len(row) > 5 and row[5] != "":
                 _parse_bool(row[5], CSV_OPTIONAL)
-            float(row[0])
+            if not math.isfinite(float(row[0])):
+                raise ValueError(f"timestamp {row[0]!r} is not finite")
             size = int(row[3])
-            if not -(2**63) <= size < 2**63:
+            if size < 1:
+                raise ValueError(f"size {size} is below 1")
+            if size >= 2**63:
                 raise ValueError(f"size {size} out of range")
             _parse_bool(row[4], "cacheable")
         except (ValueError, IndexError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-
-
-def _csv_rows(block: list[str], rest: Iterator[str]) -> Iterator[list[str]]:
-    """csv.reader rows of the lines in block.
-
-    A quoted field that runs past the block's last line is completed from
-    rest, so every row of the block comes out whole.
-    """
-    pending = len(block)
-
-    def feed():
-        nonlocal pending
-        for line in block:
-            pending -= 1
-            yield line
-        # A plain loop, not `yield from`: closing this generator must not
-        # close the stream behind rest.
-        for line in rest:
-            yield line
-
-    reader = csv.reader(feed())
-    while pending:
-        yield next(reader)
 
 
 def read_blocks(stream: IO[str]) -> Iterator[Block]:
@@ -451,8 +440,9 @@ def read_blocks(stream: IO[str]) -> Iterator[Block]:
     csv.reader, which handles quoted ids.  Blank lines are skipped and extra
     columns ignored.  The stream ends with the block read from fewer than
     _BLOCK_ROWS lines, which may be empty, so it holds at least one block.
-    An empty file, a missing column, a short row or a bad value raises
-    TraceFormatError where it is met; a bad row is named by its line.
+    An empty file, a missing column, a short row or a bad value (a timestamp
+    that is not finite or a size below 1 among them) raises TraceFormatError
+    where it is met; a bad row is named by the line it starts on.
     """
     try:
         header = next(csv.reader(stream))
@@ -485,24 +475,34 @@ def read_blocks(stream: IO[str]) -> Iterator[Block]:
             linenos = range(lineno + 1, lineno + 1 + len(block))
             lineno += len(block)
         else:
+            # A quoted field that runs past the block's last line is completed
+            # from the lines after it, so every row of the block comes out
+            # whole; chain leaves the stream open.
+            reader = csv.reader(chain(block, lines))
             rows, linenos = [], []
-            for row in _csv_rows(block, lines):
-                lineno += 1
+            while reader.line_num < len(block):
+                start = lineno + reader.line_num + 1
+                row = next(reader)
                 if row:
                     rows.append([row[i] for i in picks] if len(row) >= need else None)
-                    linenos.append(lineno)
+                    linenos.append(start)
+            lineno += reader.line_num
             if None in rows:
                 _check_rows(rows, linenos)
             columns = list(zip(*rows)) or [() for _ in picks]
         try:
             ts, client, obj, size, flag, *origin = columns
+            timestamps = np.array(ts, dtype=np.float64)
+            sizes = np.array(size, dtype=np.int64)
+            if not (np.isfinite(timestamps).all() and (sizes >= 1).all()):
+                raise ValueError("a timestamp is not finite or a size is below 1")
             objects, new_objects = _interned(obj, object_table)
             clients, new_clients = _interned(client, client_table)
             return Block(
-                np.array(ts, dtype=np.float64),
+                timestamps,
                 objects,
                 clients,
-                np.array(size, dtype=np.int64),
+                sizes,
                 np.fromiter(map(_BOOL_TOKENS.__getitem__, flag), dtype=bool, count=len(flag)),
                 np.fromiter(map(_ORIGIN_TOKENS.__getitem__, origin[0]), dtype=np.int8,
                             count=len(flag)) if has_origin else None,
@@ -630,7 +630,11 @@ def write_change_log_csv(changes: dict[str, list[float]], out: IO[str]) -> int:
 
 
 def read_change_log_csv(stream: IO[str]) -> dict[str, list[float]]:
-    """Read a change-event CSV into {object_id: sorted timestamps}."""
+    """Read a change-event CSV into {object_id: sorted timestamps}.
+
+    A short row or a timestamp that does not parse or is not finite raises
+    TraceFormatError naming the line the row starts on.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -639,10 +643,19 @@ def read_change_log_csv(stream: IO[str]) -> dict[str, list[float]]:
     if header[:2] != ["object_id", "change_timestamp_s"]:
         raise TraceFormatError(f"unexpected change-log header {header!r}")
     changes: dict[str, list[float]] = {}
+    start = reader.line_num + 1
     for row in reader:
-        if not row:
-            continue
-        changes.setdefault(row[0], []).append(float(row[1]))
+        if row:
+            try:
+                if len(row) < 2:
+                    raise ValueError("row has too few columns")
+                t = float(row[1])
+                if not math.isfinite(t):
+                    raise ValueError(f"change timestamp {row[1]!r} is not finite")
+            except ValueError as exc:
+                raise TraceFormatError(f"line {start}: {exc}") from exc
+            changes.setdefault(row[0], []).append(t)
+        start = reader.line_num + 1
     for times in changes.values():
         times.sort()
     return changes

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import zcl
+from zcl import cli
 from zcl import trace as trace_module
 from zcl.cli import main
+from zcl.simcache import CacheConfig
 from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
 from zcl.trace import _csv_field, read_canonical_csv, read_trace, write_canonical_csv
 
@@ -350,6 +352,74 @@ def test_simulate_trace_error_wins_over_a_config_error(tmp_path, capsys, read_mo
     assert capsys.readouterr().err == "error: line 3: row has too few columns\n"
 
 
+@pytest.mark.parametrize("block_rows", [2, 1 << 16])
+def test_simulate_names_the_physical_line_after_a_quoted_id(
+    tmp_path, capsys, monkeypatch, read_mode, block_rows
+):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
+    rows = ['1.0,c0,"x\ny",5,1\n', row(2.0, "A"), "bad,c0,c,10,1\n"]  # lines 2-3, 4, 5
+    trace = trace_csv(tmp_path / "t.csv", rows)
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 5: could not convert string to float")
+
+
+@pytest.mark.parametrize("times, bad", [
+    ([1.0, "nan", 0.5, 2.0], "nan"),  # a NaN hid the decreasing pair around it
+    ([1.0, "inf", 2.0], "inf"),
+])
+def test_simulate_rejects_non_finite_timestamps(tmp_path, capsys, read_mode, times, bad):
+    trace = trace_csv(tmp_path / "t.csv", [row(t, f"o{i}") for i, t in enumerate(times)])
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: line 3: timestamp {bad!r} is not finite\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("A\n", "line 3: row has too few columns"),
+    ('"x\ny",0.5\nA\n', "line 5: row has too few columns"),
+    ("A,soon\n", "line 3: could not convert string to float: 'soon'"),
+    ("A,nan\n", "line 3: change timestamp 'nan' is not finite"),
+    ("A,-inf\n", "line 3: change timestamp '-inf' is not finite"),
+])
+def test_simulate_change_log_format_error_exits_2_naming_the_line(tmp_path, capsys, rows, message):
+    trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A"), row(1.0, "A")])
+    changes = write(tmp_path / "ch.csv", "object_id,change_timestamp_s\nB,0.5\n" + rows)
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    args = ["simulate", trace, cfg, "--changes", changes, "--out", str(tmp_path / "r.json")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("capacity_bytes=5\nwhatever=1\n", "unknown config keys: ['whatever']"),
+    ("policy=lru\n", "config needs capacity_bytes"),
+    ("capacity_bytes=5\npolicy=fifo\n",
+     "policy must be one of ['lru', 'zipf_construction'], got 'fifo'"),
+    ("capacity_bytes=5\nbyte_accounting=ture\n",
+     "bad cache config: byte_accounting must be 1/true/yes or 0/false/no, got 'ture'"),
+    ("capacity_bytes=5\nbyte_accounting=\n",
+     "bad cache config: byte_accounting must be 1/true/yes or 0/false/no, got ''"),
+])
+def test_simulate_bad_cache_config_exits_2_with_its_message(tmp_path, capsys, text, message):
+    trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A")])
+    cfg = write(tmp_path / "c.cfg", text)
+    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("token, byte_accounting", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False),
+])
+def test_cache_config_reads_byte_accounting_tokens_in_any_case(token, byte_accounting):
+    pairs = {"capacity_bytes": "5", "byte_accounting": token}
+    assert cli._cache_config(pairs).byte_accounting is byte_accounting
+
+
+def test_cache_config_keys_left_out_take_cache_config_defaults():
+    assert cli._cache_config({"capacity_bytes": "5"}) == CacheConfig(capacity_bytes=5)
+
+
 def test_cli_import_leaves_out_multiprocessing():
     src_dir = Path(zcl.__file__).resolve().parent.parent
     done = subprocess.run(
@@ -425,6 +495,26 @@ def test_report_emits_figure_csvs(tmp_path):
 
 def test_report_empty_result_set_exits_2(tmp_path):
     assert main(["report", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_report_reads_multi_config_simulate_output(tmp_path, capsys):
+    rows = [row(float(t), f"o{t % 6}") for t in range(60)]
+    trace = trace_csv(tmp_path / "t.csv", rows)
+    lru = objects_cfg(tmp_path / "lru.cfg", 3)
+    seg = objects_cfg(tmp_path / "seg.cfg", 3, policy="zipf_construction")
+    multi = str(tmp_path / "multi.json")
+    assert main(["simulate", trace, lru, seg, "--out", multi]) == 0
+    out_dir = tmp_path / "figs"
+    assert main(["report", multi, "--out-dir", str(out_dir)]) == 0
+    hit_lines = (out_dir / "hit_ratio_vs_size.csv").read_text().splitlines()
+    assert len(hit_lines) == 1 + 2
+
+
+@pytest.mark.parametrize("doc", ["3", '"row"', "null", "[1, 2]", '[{"H_pct": 1.0}, []]'])
+def test_report_rejects_json_that_holds_no_result_objects(tmp_path, capsys, doc):
+    path = write(tmp_path / "r.json", doc)
+    assert main(["report", path, "--out-dir", str(tmp_path / "figs")]) == 2
+    assert "holds neither a result object nor a list of them" in capsys.readouterr().err
 
 
 # --- reproducibility and the committed golden ------------------------------------

@@ -124,7 +124,7 @@ def test_simulate_rejects_unordered_records_like_process(policy, times, block, p
     with pytest.raises(ValueError, match=re.escape(f"records out of order: {pair}")):
         for r in records:
             sim.process(r)
-    with mock.patch.object(simcache_module, "_REPLAY_BLOCK", block):
+    with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
         with pytest.raises(ValueError, match=re.escape(f"records out of order: {pair}")):
             simulate(Trace.from_records(records), config)
 
@@ -133,7 +133,6 @@ def test_oversized_object_bypasses_without_failing():
     records = [rec(1, "big", size=10_000), rec(2, "big", size=10_000), rec(3, "small", size=10)]
     result = simulate(records, CacheConfig(capacity_bytes=1000))
     assert result.bypassed == 2
-    assert "big" in result.bypassed_objects
     assert result.hits == 0
     assert result.requests == 3
 
@@ -269,6 +268,16 @@ def test_managing_drops_oldest_last_request_first():
     ghosts = {o for o, s in sim._engine.managing.items() if not s.resident}
     assert ghosts == {"B"}  # A (older last request) was dropped at D's admission
     assert "A" not in sim._engine.managing
+    sim.check_invariants()
+
+
+def test_objects_mode_managing_bound_is_ten_times_capacity_without_floor():
+    # Objects mode bounds managing at 10 x 3 = 30 entries; the byte-mode
+    # floor of 100 does not apply, so 50 one-off objects leave 30 entries.
+    sim = CacheSim(objects_config(3, Policy.ZIPF_CONSTRUCTION))
+    for t in range(50):
+        sim.process(rec(t, f"o{t}"))
+    assert len(sim._engine.managing) == 30
     sim.check_invariants()
 
 
@@ -516,12 +525,11 @@ def test_simulate_equals_per_event_process(case):
     records, changes, config = case
     expected = process_checked(records, config, changes)
     for block in (1, 7, 1 << 16):  # replay blocks of one, several and all requests
-        with mock.patch.object(simcache_module, "_REPLAY_BLOCK", block):
+        with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
             got = simulate(Trace.from_records(records), config, changes)
         assert got == expected
         assert got.evictions == expected.evictions
         assert got.occupancy == expected.occupancy
-        assert got.bypassed_objects == expected.bypassed_objects
 
 
 @given(case=replay_cases(), data=st.data())
@@ -541,7 +549,7 @@ def test_lockstep_replay_equals_per_config_process(case, data):
     text = io.StringIO()
     write_canonical_csv(records, text)
     for block in (1, 7, 1 << 16):
-        with mock.patch.object(simcache_module, "_REPLAY_BLOCK", block):
+        with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
             assert compare_policies(Trace.from_records(records), configs, changes) == expected
         # Streamed blocks bring their ids one block at a time.
         with mock.patch.object(trace_module, "_BLOCK_ROWS", block):

@@ -50,6 +50,13 @@ def test_squid_garbage_line_skipped_not_fatal():
     assert parsed.malformed == 1
 
 
+def test_squid_non_finite_timestamp_is_malformed():
+    lines = [GOOD_MISS, "nan" + GOOD_HIT[6:], "inf" + GOOD_HIT[6:], GOOD_HIT]
+    parsed = parse_squid_log(lines)
+    assert parsed.malformed == 2
+    assert parsed.records.timestamps.tolist() == [1000.5, 1001.0]
+
+
 def test_squid_mostly_garbage_is_format_error():
     lines = ["not a log line at all"] * 6 + [GOOD_MISS] * 4
     with pytest.raises(TraceFormatError):
@@ -142,6 +149,43 @@ def test_csv_bad_origin_names_line():
     text = HEADER[:-1] + ",origin_hit\n1.0,c0,o1,5,1,\n2.0,c0,o1,5,1,maybe\n"
     with pytest.raises(TraceFormatError, match="line 3: bad boolean 'maybe' in column origin_hit"):
         read_trace(io.StringIO(text))
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, 1 << 16])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # A quoted id over lines 2-3, a good row on line 4, a bad one on line 5.
+        ('1.0,c0,"x\ny",5,1\n2.0,c0,o1,5,1\nbad,c0,c,10,1\n', "line 5: could not convert"),
+        # The quoted id over lines 3-4 runs past the end of a two-line block.
+        ('1.0,c0,o1,5,1\n2.0,c0,"p\nq",5,1\nbad,c0,c,10,1\n', "line 5: could not convert"),
+        # A bad row over lines 4-5 is named by the line it starts on.
+        ('1.0,c0,"x\ny",5,1\n1.5,c0,"p\nq",5,maybe\n', "line 4: bad boolean 'maybe'"),
+    ],
+    ids=["after", "across-block-end", "multi-line-bad-row"],
+)
+def test_csv_bad_row_after_a_multi_line_row_names_its_physical_line(rows, message, block_rows):
+    with mock.patch.object(trace_module, "_BLOCK_ROWS", block_rows):
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace(io.StringIO(HEADER + rows))
+
+
+@pytest.mark.parametrize("block_rows", [2, 1 << 16])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("nan,c0,o1,5,1\n", "line 3: timestamp 'nan' is not finite"),
+        ("inf,c0,o1,5,1\n", "line 3: timestamp 'inf' is not finite"),
+        ("-Infinity,c0,o1,5,1\n", "line 3: timestamp '-Infinity' is not finite"),
+        ("1.0,c0,o1,0,1\n", "line 3: size 0 is below 1"),
+        ("1.0,c0,o1,-7,1\n", "line 3: size -7 is below 1"),
+    ],
+)
+def test_csv_rejects_non_finite_timestamps_and_sizes_below_1(row, message, block_rows):
+    text = HEADER + "0.5,c0,o1,5,1\n" + row + "2.0,c0,o2,5,1\n"
+    with mock.patch.object(trace_module, "_BLOCK_ROWS", block_rows):
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace(io.StringIO(text))
 
 
 ids = st.text(
