@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -63,6 +64,14 @@ class RunManifest:
             print(f"warning: cannot write manifest {path}: {exc}", file=sys.stderr)
 
 
+def _open_out(path: str):
+    """path opened for writing text; a path that cannot be opened is an InputError."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
 def _trace_error(path: str, exc: OSError) -> InputError:
     return InputError(f"cannot read trace {path}: {exc}")
 
@@ -85,14 +94,18 @@ def _load_changes(path: str | None):
         raise InputError(f"cannot read change log {path}: {exc}")
 
 
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def _parse_flat_config(path: str) -> dict[str, str]:
-    """Flat key=value file, # comments and blank lines ignored."""
+    """Flat key=value file; blank lines are ignored, and a # at the start of
+    a line or after whitespace starts a comment that runs to the line's end."""
     pairs: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
+                line = _COMMENT.sub("", line).strip()
+                if not line:
                     continue
                 if "=" not in line:
                     raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
@@ -163,7 +176,7 @@ def cmd_ingest(args, manifest) -> int:
     manifest.parameters["malformed"] = parsed.malformed
     if not parsed.records:
         raise InputError(f"no usable records in {args.squid_log}")
-    with open(args.out, "w", encoding="utf-8") as out:
+    with _open_out(args.out) as out:
         written = trace.write_canonical_csv(parsed.records, out)
     print(f"{written} records, {parsed.malformed} malformed")
     return EXIT_OK
@@ -225,10 +238,10 @@ def cmd_analyze(args, manifest) -> int:
             row["k_R"] = ren.k_r
 
     if args.profile_out:
-        with open(args.profile_out, "w", encoding="utf-8") as f:
+        with _open_out(args.profile_out) as f:
             analytics.export_profile_csv(profile, f)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with _open_out(args.out) as f:
             _dump_json(row, f)
     _dump_json(row, sys.stdout)
     return EXIT_OK
@@ -262,10 +275,10 @@ def cmd_synth(args, manifest) -> int:
         seed=args.seed,
     )
     generated = synth.generate_synthetic_trace(spec)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with _open_out(args.out) as f:
         written = trace.write_canonical_csv(generated.records, f)
     if args.changes_out:
-        with open(args.changes_out, "w", encoding="utf-8") as f:
+        with _open_out(args.changes_out) as f:
             n_changes = trace.write_change_log_csv(generated.changes, f)
     else:
         n_changes = sum(len(v) for v in generated.changes.values())
@@ -312,11 +325,11 @@ def cmd_simulate(args, manifest) -> int:
         raise _trace_error(args.trace, exc)
     payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
     out_doc = payloads[0] if len(payloads) == 1 else payloads
-    with open(args.out, "w", encoding="utf-8") as f:
+    with _open_out(args.out) as f:
         _dump_json(out_doc, f)
     result = results[0]
     if args.evictions_out:
-        with open(args.evictions_out, "w", encoding="utf-8") as f:
+        with _open_out(args.evictions_out) as f:
             rows = csv.writer(f, lineterminator="\n")
             rows.writerow(("object_id", "insert_ts", "evict_ts", "count"))
             rows.writerows(
@@ -324,7 +337,7 @@ def cmd_simulate(args, manifest) -> int:
                 for ev in result.evictions
             )
     if args.occupancy_out:
-        with open(args.occupancy_out, "w", encoding="utf-8") as f:
+        with _open_out(args.occupancy_out) as f:
             rows = csv.writer(f, lineterminator="\n")
             rows.writerow(("timestamp_s", "kernel_bytes", "accessory_bytes", "managing_entries"))
             rows.writerows(
@@ -391,7 +404,10 @@ def cmd_model(args, manifest) -> int:
 
 
 def cmd_report(args, manifest) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)  # holds the manifest even if the run fails
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)  # holds the manifest even if the run fails
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out_dir}: {exc}")
     rows = []
     for path in args.results:
         try:
@@ -416,7 +432,7 @@ def cmd_report(args, manifest) -> int:
     lifetimes = [r for r in sized if r.get("t_u_days") is not None]
     if lifetimes:
         path = os.path.join(args.out_dir, "lifetimes_vs_size.csv")
-        with open(path, "w", encoding="utf-8") as f:
+        with _open_out(path) as f:
             f.write("S_eff_over_nu_int_days,t_u_days,T_eff_days\n")
             for r in lifetimes:
                 f.write(
@@ -428,7 +444,7 @@ def cmd_report(args, manifest) -> int:
     if hits:
         anchor = hits[0]
         path = os.path.join(args.out_dir, "hit_ratio_vs_size.csv")
-        with open(path, "w", encoding="utf-8") as f:
+        with _open_out(path) as f:
             f.write("S_eff_over_nu_int_days,H_pct,HB_pct,H_powerlaw_pct\n")
             for r in hits:
                 pred = model.hit_scaling(
@@ -451,7 +467,7 @@ def cmd_report(args, manifest) -> int:
         suffix = f"_{i}" if len(renewal) > 1 else ""
         path = os.path.join(args.out_dir, f"renewal_profile{suffix}.csv")
         p = float(r["p"])
-        with open(path, "w", encoding="utf-8") as f:
+        with _open_out(path) as f:
             f.write("log10_rank,log10_count_ideal,log10_count_renewal\n")
             steps = 50
             for j in range(steps + 1):

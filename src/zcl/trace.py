@@ -15,10 +15,16 @@ by default, the blocks the simulator replays one at a time.  read_ahead
 runs such a stream in a forked child, one block ahead of the caller, so
 that `zcl simulate` replays each block while the next one is parsed and
 never holds the whole trace.
+
+write_canonical_csv writes the CSV on two cores when fork and two usable
+CPUs are there: a child forked through read_ahead formats every other
+block of rows while this process formats the rest and writes all of them
+in order.  The bytes are the same as when one process does both.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -300,9 +306,9 @@ def parse_squid_log(stream: Iterable[str]) -> ParsedLog:
     half of all non-blank lines, which signals the wrong file and raises
     TraceFormatError.  Records are returned sorted by timestamp, stably
     (Squid logs at completion time, so lines can be slightly out of order).
-    A negative or non-finite timestamp makes a line malformed; a byte count
-    below 1 is clamped to 1.  CONNECT tunnels are uncacheable regardless of
-    the action code.
+    A negative or non-finite timestamp, or a byte count of 2**63 or more
+    (beyond int64), makes a line malformed; a byte count below 1 is clamped
+    to 1.  CONNECT tunnels are uncacheable regardless of the action code.
     """
     timestamps: list[float] = []
     clients: list[str] = []
@@ -326,7 +332,7 @@ def parse_squid_log(stream: Iterable[str]) -> ParsedLog:
         except ValueError:
             malformed += 1
             continue
-        if ts < 0 or not math.isfinite(ts):
+        if ts < 0 or not math.isfinite(ts) or size >= 2**63:
             malformed += 1
             continue
         action = fields[3].split("/", 1)[0]
@@ -374,7 +380,11 @@ def write_canonical_csv(records: Iterable[TraceRecord], out: IO[str]) -> int:
     Returns the number of rows written.  The optional origin_hit column is
     included whenever at least one record carries a value for it.  Floats
     are written with repr so the round trip is exact; each id is quoted once
-    per id-table entry, and rows are written in blocks.
+    per id-table entry, and rows are formatted and written in blocks of
+    _BLOCK_ROWS.  A trace of two or more blocks is formatted on two cores:
+    a child forked through read_ahead formats the odd blocks while this
+    process formats the even ones, and this process writes every block in
+    order, so the bytes do not depend on where a block was formatted.
     """
     trace = Trace.from_records(records)
     with_origin = trace.origin_hit is not None and bool((trace.origin_hit >= 0).any())
@@ -384,7 +394,9 @@ def write_canonical_csv(records: Iterable[TraceRecord], out: IO[str]) -> int:
     client_fields = np.array([_csv_field(v) for v in trace.client_ids], dtype=object)
     flag_fields = np.array(["0", "1"], dtype=object)
     origin_fields = np.array(["0", "1", ""], dtype=object)  # code -1 picks ""
-    for start in range(0, len(trace), _BLOCK_ROWS):
+
+    def text(start: int) -> str:
+        """The rows of the block that starts at row start."""
         block = slice(start, start + _BLOCK_ROWS)
         columns = [
             map(repr, trace.timestamps[block].tolist()),
@@ -395,7 +407,19 @@ def write_canonical_csv(records: Iterable[TraceRecord], out: IO[str]) -> int:
         ]
         if with_origin:
             columns.append(origin_fields[trace.origin_hit[block]].tolist())
-        out.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+    starts = range(0, len(trace), _BLOCK_ROWS)
+    if len(starts) < 2:  # not worth a fork
+        out.writelines(map(text, starts))
+        return len(trace)
+    # The empty string first makes the child start on block 1 before this
+    # process formats block 0.
+    with contextlib.closing(read_ahead(chain([""], map(text, starts[1::2])))) as odd:
+        out.write(next(odd))
+        for start in starts[::2]:
+            out.write(text(start))
+            out.write(next(odd, ""))
     return len(trace)
 
 

@@ -14,7 +14,7 @@ import zcl
 from zcl import cli
 from zcl import trace as trace_module
 from zcl.cli import main
-from zcl.simcache import CacheConfig
+from zcl.simcache import CacheConfig, Policy
 from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
 from zcl.trace import _csv_field, read_canonical_csv, read_trace, write_canonical_csv
 
@@ -76,6 +76,14 @@ def test_ingest_empty_file_exits_2(tmp_path):
 
 def test_ingest_missing_file_exits_2(tmp_path):
     assert main(["ingest", str(tmp_path / "nope.log"), str(tmp_path / "out.csv")]) == 2
+
+
+def test_ingest_counts_an_oversized_byte_count_as_malformed(tmp_path, capsys):
+    lines = SQUID_LINES.splitlines()
+    oversized = lines[1].replace(" 8320 ", " 99999999999999999999 ")
+    log = write(tmp_path / "access.log", lines[0] + "\n" + oversized + "\n")
+    assert main(["ingest", log, str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().out == "1 records, 1 malformed\n"
 
 
 # --- analyze --------------------------------------------------------------------
@@ -400,6 +408,9 @@ def test_simulate_change_log_format_error_exits_2_naming_the_line(tmp_path, caps
      "bad cache config: byte_accounting must be 1/true/yes or 0/false/no, got 'ture'"),
     ("capacity_bytes=5\nbyte_accounting=\n",
      "bad cache config: byte_accounting must be 1/true/yes or 0/false/no, got ''"),
+    # Only a # at the start of a line or after whitespace starts a comment.
+    ("capacity_bytes=5 # bytes\npolicy=lru#x\n",
+     "policy must be one of ['lru', 'zipf_construction'], got 'lru#x'"),
 ])
 def test_simulate_bad_cache_config_exits_2_with_its_message(tmp_path, capsys, text, message):
     trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A")])
@@ -418,6 +429,15 @@ def test_cache_config_reads_byte_accounting_tokens_in_any_case(token, byte_accou
 
 def test_cache_config_keys_left_out_take_cache_config_defaults():
     assert cli._cache_config({"capacity_bytes": "5"}) == CacheConfig(capacity_bytes=5)
+
+
+def test_readme_cache_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = write(tmp_path / "cache.cfg", block)
+    assert cli._cache_config(cli._parse_flat_config(cfg)) == CacheConfig(
+        2147483648, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.333333, byte_accounting=True
+    )
 
 
 def test_cli_import_leaves_out_multiprocessing():
@@ -537,6 +557,51 @@ def test_analyze_manifest_written_on_failure(tmp_path):
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["status"] == "incomplete"
     assert manifest["outputs"] == [out]
+
+
+SMALL_SYNTH = ["synth", "--universe", "50", "--alpha", "0.8", "--rate", "100", "--seed", "1"]
+OUTPUT_KINDS = [
+    "ingest", "synth --out", "synth --changes-out", "simulate --out",
+    "simulate --evictions-out", "simulate --occupancy-out", "analyze --out",
+    "analyze --profile-out", "report --out-dir",
+]
+
+
+@pytest.mark.parametrize("kind", OUTPUT_KINDS)
+def test_an_output_that_cannot_be_opened_exits_2(tmp_path, capsys, kind):
+    (tmp_path / "not-a-dir").write_text("")
+    bad = str(tmp_path / "not-a-dir" / "x")
+    good = str(tmp_path / "out")
+    trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A"), row(1.0, "A")])
+    cfg = objects_cfg(tmp_path / "c.cfg", 5)
+    result = write(tmp_path / "r.json", '{"S_eff_over_nu_int_days": 1.0, "H_pct": 40.0}')
+    argv = {
+        "ingest": ["ingest", write(tmp_path / "access.log", SQUID_LINES), bad],
+        "synth --out": [*SMALL_SYNTH, "--out", bad],
+        "synth --changes-out": [*SMALL_SYNTH, "--out", good, "--changes-out", bad],
+        "simulate --out": ["simulate", trace, cfg, "--out", bad],
+        "simulate --evictions-out": ["simulate", trace, cfg, "--out", good, "--evictions-out", bad],
+        "simulate --occupancy-out": ["simulate", trace, cfg, "--out", good, "--occupancy-out", bad],
+        "analyze --out": ["analyze", trace, "--out", bad],
+        "analyze --profile-out": ["analyze", trace, "--out", good, "--profile-out", bad],
+        "report --out-dir": ["report", result, "--out-dir", bad],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: [Errno 20] Not a directory")
+    # The manifest is still attempted: next to the first output, or warned about.
+    if good in argv:
+        assert json.loads(Path(good + ".manifest.json").read_text())["status"] == "incomplete"
+    else:
+        assert "warning: cannot write manifest" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_write_that_fails_after_the_open_exits_1(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    out.symlink_to("/dev/full")
+    assert main([*SMALL_SYNTH, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("internal error: [Errno 28] No space left on device")
 
 
 def test_manifest_lists_every_output(tmp_path):
@@ -726,8 +791,11 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# Blocks of 2 rows make the forked writer format every other block in a child.
+@pytest.mark.parametrize("block_rows", [2, 1 << 16])
 @pytest.mark.parametrize("renewal", ["none", "rank"])
-def test_synth_output_bytes_pinned(tmp_path, capsys, renewal):
+def test_synth_output_bytes_pinned(tmp_path, capsys, monkeypatch, read_mode, block_rows, renewal):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
     out, changes = tmp_path / "t.csv", tmp_path / "ch.csv"
     args = ["synth", "--universe", "300", "--alpha", "0.7", "--clients", "3",
             "--rate", "1500", "--days", "2", "--cacheable-fraction", "0.85",
@@ -737,13 +805,19 @@ def test_synth_output_bytes_pinned(tmp_path, capsys, renewal):
         args += ["--alpha-r", "0.6"]
     assert main(args) == 0
     assert (sha256(out), sha256(changes)) == SYNTH_DIGESTS[renewal]
+    assert len(read_mode) == (block_rows == 2 and trace_module._usable_cpus() > 1)
+    assert_reaped(read_mode)
 
 
-def test_ingest_output_bytes_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("block_rows", [2, 1 << 16])
+def test_ingest_output_bytes_pinned(tmp_path, capsys, monkeypatch, read_mode, block_rows):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
     log = write(tmp_path / "access.log", QUOTING_SQUID_LINES)
     out = tmp_path / "trace.csv"
     assert main(["ingest", log, str(out)]) == 0
     assert sha256(out) == INGEST_DIGEST
+    assert len(read_mode) == (block_rows == 2 and trace_module._usable_cpus() > 1)
+    assert_reaped(read_mode)
 
 
 # SHA-256 of the --evictions-out and --occupancy-out files for configs with

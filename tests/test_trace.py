@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import os
 from unittest import mock
 
 import pytest
@@ -55,6 +57,15 @@ def test_squid_non_finite_timestamp_is_malformed():
     parsed = parse_squid_log(lines)
     assert parsed.malformed == 2
     assert parsed.records.timestamps.tolist() == [1000.5, 1001.0]
+
+
+def test_squid_byte_count_beyond_int64_is_malformed():
+    fields = GOOD_HIT.split()
+    lines = [" ".join(fields[:4] + [size] + fields[5:])
+             for size in ("9223372036854775807", "9223372036854775808", "99999999999999999999")]
+    parsed = parse_squid_log([GOOD_MISS, *lines])
+    assert parsed.malformed == 2
+    assert parsed.records.sizes.tolist() == [8320, 2**63 - 1]
 
 
 def test_squid_mostly_garbage_is_format_error():
@@ -372,3 +383,67 @@ def test_read_ahead_reads_in_process_when_fork_fails(monkeypatch):
     write_canonical_csv(PLAIN_RECORDS, buf)
     blocks = read_ahead(read_blocks(io.StringIO(buf.getvalue())))
     assert Trace.from_blocks(blocks) == Trace.from_records(PLAIN_RECORDS)
+
+
+# --- the two-core writer -------------------------------------------------------------
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("block_rows", [2, 7])
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3, "all"])
+@pytest.mark.parametrize("records", [PLAIN_RECORDS, QUOTED_RECORDS], ids=["plain", "quoted"])
+def test_writer_matches_csv_module_in_blocks(monkeypatch, read_mode, block_rows, blocks, records):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
+    # Three blocks end with a short one; all 40 records make 20 or 6 blocks.
+    records = records if blocks == "all" else records[: blocks * block_rows - (blocks == 3)]
+    with_origin = any(r.origin_hit is not None for r in records)
+    buf = io.StringIO()
+    assert write_canonical_csv(records, buf) == len(records)
+    header = HEADER[:-1] + (",origin_hit\n" if with_origin else "\n")
+    assert buf.getvalue() == header + "".join(reference_rows(records, with_origin))
+    forked = -(-len(records) // block_rows) > 1 and trace_module._usable_cpus() > 1
+    assert len(read_mode) == forked
+    assert_reaped(read_mode)
+
+
+class FailingOut(io.StringIO):
+    """A text stream whose write raises on the fail_at-th call."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.calls = 0
+        self.fail_at = fail_at
+        self.error = OSError(28, "No space left on device")
+
+    def write(self, text):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.error
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fail_at", [2, 3, 4, 6])
+def test_writer_reaps_its_child_when_a_write_fails(monkeypatch, read_mode, fail_at):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 7)
+    out = FailingOut(fail_at)
+    with pytest.raises(OSError) as raised:
+        write_canonical_csv(PLAIN_RECORDS, out)
+    assert raised.value is out.error
+    assert len(read_mode) == (trace_module._usable_cpus() > 1)
+    assert_reaped(read_mode)
+
+
+def test_writer_raises_an_error_met_in_the_child(monkeypatch, read_mode):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 7)
+    trace = Trace.from_records(QUOTED_RECORDS)
+    origin = trace.origin_hit.copy()
+    origin[9] = 5  # in block 1, which the child formats; no origin field has code 5
+    with pytest.raises(IndexError, match="index 5 is out of bounds"):
+        write_canonical_csv(dataclasses.replace(trace, origin_hit=origin), io.StringIO())
+    assert len(read_mode) == (trace_module._usable_cpus() > 1)
+    assert_reaped(read_mode)
