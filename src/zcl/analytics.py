@@ -9,6 +9,8 @@ objects, and M, the last rank requested at least twice.  The exact identity
 
 holds for every profile because all ranks beyond M have count exactly one,
 and it is what makes the exponent estimator a pure function of (M, p, k).
+ProfileFold builds the profile one block of a trace stream at a time, so
+its memory grows with the number of objects, not with the trace length.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .trace import Trace, TraceRecord
+from .trace import Block, Trace, TraceRecord
 
 __all__ = [
     "PopularityProfile",
+    "ProfileFold",
     "LifetimeSample",
     "LifetimeStats",
     "RenewalObservables",
@@ -100,39 +103,87 @@ class PopularityProfile:
         return self.counts.size == 0
 
 
+class ProfileFold:
+    """The popularity profile of a block stream, folded one block at a time.
+
+    The window starts at the stream's first request, cacheable or not.  With
+    window_days it ends that many days later and holds every request before
+    its end, wherever the request stands in the stream; without, it holds
+    every request and ends at the last one's timestamp.  add(block) counts
+    the block's in-window cacheable requests per object code and returns the
+    block cut to the window, with its new ids kept, because codes index the
+    id table of the whole stream.  profile() ranks the counts: descending,
+    ties in order of first cacheable request in the window.  Memory grows
+    with the number of objects, not with the number of requests.
+    """
+
+    def __init__(self, window_days: float | None = None):
+        self.window_days = window_days
+        self._ids: list[str] = []
+        self._counts = np.zeros(0, dtype=np.int64)  # cacheable requests per code
+        self._order: list[np.ndarray] = []  # codes by first cacheable request
+        self._start: float | None = None
+        self._last = 0.0
+        self._total = 0
+
+    def _window_end(self) -> float:
+        if self.window_days is None:
+            return self._last
+        return self._start + self.window_days * SECONDS_PER_DAY
+
+    def add(self, block: Block) -> Block:
+        self._ids += block.new_object_ids
+        times = block.timestamps
+        if len(times):
+            if self._start is None:
+                self._start = float(times[0])
+            self._last = float(times[-1])
+            if self.window_days is not None:
+                inside = times < self._window_end()
+                if not inside.all():
+                    # Cut the six columns; keep the new ids.
+                    block = Block(*(c if c is None else c[inside] for c in block[:6]), *block[6:])
+        self._total += len(block.timestamps)
+        codes = block.objects[block.cacheable]
+        grown = len(self._ids) - len(self._counts)
+        if grown:
+            self._counts = np.concatenate((self._counts, np.zeros(grown, dtype=np.int64)))
+        seen, at = np.unique(codes, return_index=True)
+        self._order.append(codes[np.sort(at[self._counts[seen] == 0])])
+        self._counts += np.bincount(codes, minlength=len(self._counts))
+        return block
+
+    def profile(self) -> PopularityProfile:
+        """The ranked profile of the blocks added so far.
+
+        Raises ValueError when no cacheable request fell inside the window.
+        """
+        if not self._counts.any():
+            raise ValueError("no cacheable records in window: profile undefined")
+        order = np.concatenate(self._order)
+        ranked = order[np.argsort(-self._counts[order], kind="stable")]
+        return PopularityProfile(
+            counts=self._counts[ranked],
+            object_ids=tuple(self._ids[code] for code in ranked.tolist()),
+            window_start_s=self._start,
+            window_end_s=self._window_end(),
+            total_requests=self._total,
+        )
+
+
 def build_popularity_profile(
     records: Iterable[TraceRecord], window_days: float | None = None
 ) -> PopularityProfile:
     """Count cacheable requests per object and rank them by popularity.
 
-    With ``window_days`` given, only records within that many days of the
-    first record are counted and the window is pinned to exactly that span;
-    otherwise the whole stream is used and the window is its time extent.
-    Raises ValueError when no cacheable record falls inside the window.
+    The records (a Trace, or any record iterable) are folded by ProfileFold
+    in the blocks of Trace.blocks; see ProfileFold for the window.  Raises
+    ValueError when no cacheable record falls inside the window.
     """
-    trace = Trace.from_records(records)
-    if not len(trace):
-        raise ValueError("no cacheable records in window: profile undefined")
-    start = float(trace.timestamps[0])
-    if window_days is None:
-        window, window_end = trace, float(trace.timestamps[-1])
-    else:
-        window_end = start + window_days * SECONDS_PER_DAY
-        window = trace[trace.timestamps < window_end]
-    codes = window.objects[window.cacheable]
-    if not codes.size:
-        raise ValueError("no cacheable records in window: profile undefined")
-    # Descending count, ties in order of first appearance in the stream.
-    seen, first = np.unique(codes, return_index=True)
-    counts = np.bincount(codes)
-    ranked = seen[np.lexsort((first, -counts[seen]))]
-    return PopularityProfile(
-        counts=counts[ranked].astype(np.int64),
-        object_ids=tuple(window.object_ids[code] for code in ranked.tolist()),
-        window_start_s=start,
-        window_end_s=window_end,
-        total_requests=len(window),
-    )
+    fold = ProfileFold(window_days)
+    for block in Trace.from_records(records).blocks():
+        fold.add(block)
+    return fold.profile()
 
 
 def estimate_alpha(profile: PopularityProfile) -> float:

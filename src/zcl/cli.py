@@ -9,12 +9,16 @@ every other argument; seed: `--seed`) and writes it next to the first
 output as `<out>.manifest.json`, even when the command fails half way.
 `report` writes into a directory and anchors it at `<out-dir>/report`.
 
-`simulate` streams: a forked child parses the trace block by block
-(trace.read_ahead over trace.read_blocks) while this process replays each
-block through every configuration, so its memory grows with the number of
-objects, not with the trace length.  Errors keep the order of reading the
-whole trace first: a bad trace wins over a bad change log or config and
-over a replay error.
+`simulate` and `analyze` read a trace one way, through _trace_blocks: a
+forked child parses it block by block (trace.read_ahead over
+trace.read_blocks) while this process folds each block into the popularity
+profile (`analyze`) or replays it through every configuration (`simulate`,
+and `analyze --cache-config` on the blocks cut to the profile's window), so
+their memory grows with the number of objects, not with the trace length.
+Errors keep the order of reading the whole trace first: a bad trace wins
+over a bad change log or config and over a replay error.  `analyze` knows
+that its window holds no cacheable request only at the end of the stream,
+so a bad config or a replay error is reported before that.
 """
 
 from __future__ import annotations
@@ -72,16 +76,29 @@ def _open_out(path: str):
         raise InputError(f"cannot write {path}: {exc}")
 
 
-def _trace_error(path: str, exc: OSError) -> InputError:
-    return InputError(f"cannot read trace {path}: {exc}")
+@contextlib.contextmanager
+def _trace_blocks(path: str):
+    """The trace at path as a stream of blocks, parsed by trace.read_blocks
+    through trace.read_ahead.
 
-
-def _load_trace(path: str) -> trace.Trace:
+    An error raised in the body first drains the stream, so a bad trace wins
+    over it, as when the whole trace was read first.  An OSError is the
+    trace's: `cannot read trace` (the loaders of the other inputs raise
+    InputError).
+    """
     try:
-        with open(path, encoding="utf-8") as f:
-            return trace.read_trace(f)
+        with (
+            open(path, encoding="utf-8") as f,
+            contextlib.closing(trace.read_ahead(trace.read_blocks(f))) as blocks,
+        ):
+            try:
+                yield blocks
+            except Exception:
+                for _ in blocks:
+                    pass
+                raise
     except OSError as exc:
-        raise _trace_error(path, exc)
+        raise InputError(f"cannot read trace {path}: {exc}")
 
 
 def _load_changes(path: str | None):
@@ -183,9 +200,17 @@ def cmd_ingest(args, manifest) -> int:
 
 
 def cmd_analyze(args, manifest) -> int:
-    records = _load_trace(args.trace)
-    changes = _load_changes(args.changes)
-    profile = analytics.build_popularity_profile(records, args.window_days)
+    fold = analytics.ProfileFold(args.window_days)
+    with _trace_blocks(args.trace) as blocks:
+        windowed = map(fold.add, blocks)
+        changes = _load_changes(args.changes)
+        if args.cache_config:
+            config = _cache_config(_parse_flat_config(args.cache_config))
+            result = simcache.replay(windowed, [config], changes)[0]
+        else:
+            for _ in windowed:
+                pass
+    profile = fold.profile()
 
     alpha = None
     if profile.M > 0:
@@ -210,13 +235,6 @@ def cmd_analyze(args, manifest) -> int:
     }
 
     if args.cache_config:
-        config = _cache_config(_parse_flat_config(args.cache_config))
-        window = (
-            records
-            if args.window_days is None
-            else records[records.timestamps < profile.window_end_s]
-        )
-        result = simcache.simulate(window, config, changes)
         lifetimes = analytics.lifetimes_from_evictions(result.evictions)
         summary = analytics.MeasurementSummary.from_simulation(result)
         row.update(
@@ -274,14 +292,18 @@ def cmd_synth(args, manifest) -> int:
         size_sigma=args.size_sigma,
         seed=args.seed,
     )
-    generated = synth.generate_synthetic_trace(spec)
-    with _open_out(args.out) as f:
-        written = trace.write_canonical_csv(generated.records, f)
-    if args.changes_out:
-        with _open_out(args.changes_out) as f:
-            n_changes = trace.write_change_log_csv(generated.changes, f)
-    else:
-        n_changes = sum(len(v) for v in generated.changes.values())
+    # The outputs are opened before the trace is generated, so a bad path
+    # fails before that work.
+    with (
+        _open_out(args.out) as out,
+        (_open_out(args.changes_out) if args.changes_out else contextlib.nullcontext()) as ch,
+    ):
+        generated = synth.generate_synthetic_trace(spec)
+        written = trace.write_canonical_csv(generated.records, out)
+        if ch is None:
+            n_changes = sum(len(v) for v in generated.changes.values())
+        else:
+            n_changes = trace.write_change_log_csv(generated.changes, ch)
     print(f"{written} records, {n_changes} change events")
     return EXIT_OK
 
@@ -307,22 +329,10 @@ def _simulation_payload(result: simcache.SimulationResult, config: simcache.Cach
 def cmd_simulate(args, manifest) -> int:
     if len(args.configs) > 1 and (args.evictions_out or args.occupancy_out):
         raise InputError("eviction/occupancy dumps need a single config")
-    try:
-        with (
-            open(args.trace, encoding="utf-8") as f,
-            contextlib.closing(trace.read_ahead(trace.read_blocks(f))) as blocks,
-        ):
-            try:
-                changes = _load_changes(args.changes)
-                configs = [_cache_config(_parse_flat_config(path)) for path in args.configs]
-                results = simcache.replay(blocks, configs, changes)
-            except Exception:
-                # A trace error wins, as when the whole trace was read first.
-                for _ in blocks:
-                    pass
-                raise
-    except OSError as exc:  # the loaders of the other inputs raise InputError
-        raise _trace_error(args.trace, exc)
+    with _trace_blocks(args.trace) as blocks:
+        changes = _load_changes(args.changes)
+        configs = [_cache_config(_parse_flat_config(path)) for path in args.configs]
+        results = simcache.replay(blocks, configs, changes)
     payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
     out_doc = payloads[0] if len(payloads) == 1 else payloads
     with _open_out(args.out) as f:

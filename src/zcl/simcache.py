@@ -32,8 +32,9 @@ lockstep: numpy does the per-event bookkeeping (the order check, request
 and byte totals, uncacheable requests, the occupancy sample points), and
 Python calls access once per cacheable request and nothing else.  Both give
 identical results.  simulate and compare_policies replay a whole Trace in
-the blocks of Trace.blocks; `zcl simulate` replays the blocks of
-trace.read_blocks as they are parsed, so it never holds the whole trace.
+the blocks of Trace.blocks; `zcl simulate` and `zcl analyze` replay the
+blocks of trace.read_blocks as they are parsed, so they never hold the
+whole trace.
 """
 
 from __future__ import annotations

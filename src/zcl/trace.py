@@ -13,8 +13,8 @@ read_trace is their concatenation.  A timestamp must be finite and a size at
 least 1.  Trace.blocks cuts a Trace into Blocks of the same number of rows
 by default, the blocks the simulator replays one at a time.  read_ahead
 runs such a stream in a forked child, one block ahead of the caller, so
-that `zcl simulate` replays each block while the next one is parsed and
-never holds the whole trace.
+that `zcl simulate` and `zcl analyze` work on each block while the next one
+is parsed and never hold the whole trace.
 
 write_canonical_csv writes the CSV on two cores when fork and two usable
 CPUs are there: a child forked through read_ahead formats every other

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from zcl import analytics
 from zcl.analytics import (
     PopularityProfile,
+    ProfileFold,
     alpha_growth_constant,
     build_popularity_profile,
     compute_cacheable_fraction,
@@ -122,12 +123,23 @@ def profile_cases(draw):
 def test_profile_list_and_trace_match_reference(case):
     records, window_days = case
     expected = reference_profile(records, window_days)
-    for source in (records, Trace.from_records(records)):
+    trace = Trace.from_records(records)
+    window = trace
+    if window_days is not None:
+        window = trace[trace.timestamps < records[0].timestamp + window_days * DAY]
+    builds = [lambda: build_popularity_profile(records, window_days),
+              lambda: build_popularity_profile(trace, window_days)]
+    for rows in (1, 7):
+        fold = ProfileFold(window_days)
+        # The cut blocks keep every id, so they concatenate to the window.
+        assert Trace.from_blocks([fold.add(block) for block in trace.blocks(rows)]) == window
+        builds.append(fold.profile)
+    for build in builds:
         if not expected[0]:
             with pytest.raises(ValueError):
-                build_popularity_profile(source, window_days)
+                build()
             continue
-        got = build_popularity_profile(source, window_days)
+        got = build()
         assert got.counts.tolist() == expected[0]
         assert got.object_ids == expected[1]  # tie order included
         assert (got.window_start_s, got.window_end_s, got.total_requests) == expected[2:]

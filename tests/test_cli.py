@@ -12,6 +12,7 @@ import pytest
 
 import zcl
 from zcl import cli
+from zcl import synth as synth_module
 from zcl import trace as trace_module
 from zcl.cli import main
 from zcl.simcache import CacheConfig, Policy
@@ -161,6 +162,27 @@ def test_synth_deterministic_output_bytes(tmp_path, capsys):
     assert manifest["seed"] == 33 and manifest["status"] == "ok"
 
 
+@pytest.mark.parametrize("alpha, bad_flag, message", [
+    ("0.8", "--out", "cannot write {bad}"),
+    ("0.8", "--changes-out", "cannot write {bad}"),
+    ("1.5", "--out", "zipf_alpha must lie in (0, 1), got 1.5"),  # flag errors come first
+])
+def test_synth_opens_its_outputs_before_generating(
+    tmp_path, capsys, monkeypatch, alpha, bad_flag, message
+):
+    def generate(spec):
+        raise AssertionError("generated before the outputs were opened")
+
+    monkeypatch.setattr(synth_module, "generate_synthetic_trace", generate)
+    (tmp_path / "not-a-dir").write_text("")
+    bad = str(tmp_path / "not-a-dir" / "x")
+    outputs = {"--out": str(tmp_path / "t.csv"), "--changes-out": str(tmp_path / "ch.csv")}
+    outputs[bad_flag] = bad
+    argv = ["synth", "--universe", "50", "--alpha", alpha, *(x for kv in outputs.items() for x in kv)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message.format(bad=bad)}")
+
+
 def test_synth_rank_renewal_needs_alpha_r(tmp_path):
     code = main(["synth", "--universe", "10", "--alpha", "0.5", "--renewal", "rank",
                  "--out", str(tmp_path / "x.csv")])
@@ -254,7 +276,17 @@ def test_simulate_bad_config_key_exits_2(tmp_path):
     assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
 
 
-# --- simulate through the forked reader -------------------------------------------
+# --- simulate and analyze through the forked reader ------------------------------
+
+
+def trace_command(command, trace, cfg, out, *extra):
+    """argv of `zcl simulate`, or of `zcl analyze --cache-config`, over trace."""
+    if command == "simulate":
+        return ["simulate", trace, cfg, "--out", out, *extra]
+    return ["analyze", trace, "--cache-config", cfg, "--out", out, *extra]
+
+
+STREAMING = pytest.mark.parametrize("command", ["simulate", "analyze"])
 
 
 def assert_reaped(pids):
@@ -274,14 +306,17 @@ TRACE_ERRORS = {
 }
 
 
+@STREAMING
 @pytest.mark.parametrize("case", sorted(TRACE_ERRORS))
-def test_simulate_reports_trace_errors_as_read_trace_raises_them(tmp_path, capsys, read_mode, case):
+def test_simulate_reports_trace_errors_as_read_trace_raises_them(
+    tmp_path, capsys, read_mode, case, command
+):
     path = tmp_path / "t.csv"
     path.write_bytes(TRACE_ERRORS[case])
     with pytest.raises(ValueError) as raised, open(path, encoding="utf-8") as f:
         read_trace(f)
     cfg = objects_cfg(tmp_path / "c.cfg", 5)
-    assert main(["simulate", str(path), cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert main(trace_command(command, str(path), cfg, str(tmp_path / "r.json"))) == 2
     assert capsys.readouterr().err == f"error: {raised.value}\n"
     assert len(read_mode) == (trace_module._usable_cpus() > 1)
     assert_reaped(read_mode)
@@ -292,14 +327,16 @@ def test_simulate_reports_trace_errors_as_read_trace_raises_them(tmp_path, capsy
     ([row(0.0, "A"), "x,c0,B,1,1\n"], 2),
     ([row(2.0, "A"), row(1.0, "B")], 2),  # fails in the replay
 ], ids=["success", "format-error", "replay-error"])
-def test_simulate_leaves_no_reader_process(tmp_path, capsys, read_mode, rows, code):
+@STREAMING
+def test_simulate_leaves_no_reader_process(tmp_path, capsys, read_mode, rows, code, command):
     trace = trace_csv(tmp_path / "t.csv", rows)
     cfg = objects_cfg(tmp_path / "c.cfg", 5)
-    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == code
+    assert main(trace_command(command, trace, cfg, str(tmp_path / "r.json"))) == code
     assert_reaped(read_mode)
 
 
-def test_simulate_read_error_after_open_exits_2(tmp_path, capsys, monkeypatch, read_mode):
+@STREAMING
+def test_simulate_read_error_after_open_exits_2(tmp_path, capsys, monkeypatch, read_mode, command):
     real = trace_module.read_blocks
 
     def failing(stream):
@@ -309,9 +346,21 @@ def test_simulate_read_error_after_open_exits_2(tmp_path, capsys, monkeypatch, r
     monkeypatch.setattr(trace_module, "read_blocks", failing)
     trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A"), row(1.0, "B")])
     cfg = objects_cfg(tmp_path / "c.cfg", 5)
-    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert main(trace_command(command, trace, cfg, str(tmp_path / "r.json"))) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot read trace {trace}: [Errno 5] Input/output error\n"
+
+
+def test_analyze_never_holds_the_whole_trace(tmp_path, capsys, monkeypatch, read_mode):
+    def whole_trace(*args):
+        raise AssertionError("the whole trace was built")
+
+    monkeypatch.setattr(trace_module, "read_trace", whole_trace)
+    monkeypatch.setattr(trace_module.Trace, "from_blocks", whole_trace)
+    trace = trace_csv(tmp_path / "t.csv", [row(float(t), f"o{t % 3}") for t in range(9)])
+    cfg = objects_cfg(tmp_path / "c.cfg", 2, policy="zipf_construction")
+    assert main(trace_command("analyze", trace, cfg, str(tmp_path / "r.json"))) == 0
+    assert json.loads(capsys.readouterr().out)["K"] == 9
 
 
 def test_simulate_exits_1_when_the_reader_dies(tmp_path):
@@ -340,8 +389,9 @@ def test_simulate_exits_1_when_the_reader_dies(tmp_path):
     assert done.stderr.startswith("internal error: trace reader ended before the end")
 
 
+@STREAMING
 def test_simulate_trace_error_wins_over_an_earlier_order_error(
-    tmp_path, capsys, monkeypatch, read_mode
+    tmp_path, capsys, monkeypatch, read_mode, command
 ):
     # Blocks of two rows: block 1 holds a decreasing pair, block 3 a bad row.
     monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 2)
@@ -349,14 +399,20 @@ def test_simulate_trace_error_wins_over_an_earlier_order_error(
             "6.0,c0,F,1,maybe\n"]
     trace = trace_csv(tmp_path / "t.csv", rows)
     cfg = objects_cfg(tmp_path / "c.cfg", 5)
-    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert main(trace_command(command, trace, cfg, str(tmp_path / "r.json"))) == 2
     assert capsys.readouterr().err == "error: line 7: bad boolean 'maybe' in column cacheable\n"
 
 
-def test_simulate_trace_error_wins_over_a_config_error(tmp_path, capsys, read_mode):
+@STREAMING
+@pytest.mark.parametrize("bad", ["config", "change log"])
+def test_simulate_trace_error_wins_over_a_config_error(tmp_path, capsys, read_mode, command, bad):
     trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A"), "1.0,c0,B,1\n"])
-    cfg = write(tmp_path / "c.cfg", "capacity_bytes=5\nwhatever=1\n")
-    assert main(["simulate", trace, cfg, "--out", str(tmp_path / "r.json")]) == 2
+    if bad == "config":
+        cfg, changes = write(tmp_path / "c.cfg", "capacity_bytes=5\nwhatever=1\n"), []
+    else:
+        cfg = objects_cfg(tmp_path / "c.cfg", 5)
+        changes = ["--changes", write(tmp_path / "ch.csv", "object_id,change_timestamp_s\nA,x\n")]
+    assert main(trace_command(command, trace, cfg, str(tmp_path / "r.json"), *changes)) == 2
     assert capsys.readouterr().err == "error: line 3: row has too few columns\n"
 
 
@@ -867,3 +923,56 @@ def test_simulate_eviction_and_occupancy_bytes_pinned(tmp_path, capsys, label):
                  "--evictions-out", str(ev), "--occupancy-out", str(occ)]) == 0
     assert len(ev.read_text().splitlines()) > 1000
     assert (sha256(ev), sha256(occ)) == EVICTION_DIGESTS[label]
+
+
+# SHA-256 of `zcl analyze`'s --out JSON and --profile-out CSV.  "synth": a
+# rank-renewal trace cut to a 1.5-day window and replayed through an
+# objects-mode construction with its change log.  "squid": an ingested log
+# in which http://x is denied before it is requested cacheably, so x ties
+# with http://y on one cacheable request and ranks after it: ties rank by
+# first cacheable appearance, not by code.
+TIE_SQUID_LINES = """\
+100.0 5 10.0.0.1 TCP_DENIED/403 320 GET http://x - NONE/- text/html
+101.0 80 10.0.0.2 TCP_MISS/200 640 GET http://y - DIRECT/5.6.7.8 text/html
+102.0 80 10.0.0.1 TCP_MISS/200 900 GET http://x - DIRECT/5.6.7.8 text/html
+103.0 80 10.0.0.2 TCP_MISS/200 77 GET http://z - DIRECT/5.6.7.8 text/html
+104.0 5 10.0.0.3 TCP_HIT/200 77 GET http://z - NONE/- text/html
+105.0 80 10.0.0.3 TCP_MISS/200 4096 CONNECT d.example:443 - DIRECT/9.9.9.9 -
+106.0 5 10.0.0.2 TCP_DENIED/403 320 GET http://w - NONE/- text/html
+107.0 80 10.0.0.1 TCP_MISS/200 640 GET http://w - DIRECT/5.6.7.8 text/html
+"""
+ANALYZE_DIGESTS = {
+    "squid": (
+        "5f4c8b091a666b7e8e98bcf62ed0f4bfb36ebdef7f94c17185551536faeb7ade",
+        "b5f8e06516399e47e754a3ae59952ea4228421ef5678b096ca09035abbf7c35a",
+    ),
+    "synth": (
+        "53ded396eb951c99351f9fa73ab663d4c2f1481aa6a6a788bda87ad5eb59b7dd",
+        "e4bcc4612ea6acfd57b85afc536cb4acfa632eed978d2a7f12c4adbe4ff57ddf",
+    ),
+}
+
+
+@pytest.mark.parametrize("block_rows", [2, 1 << 16])
+@pytest.mark.parametrize("case", sorted(ANALYZE_DIGESTS))
+def test_analyze_outputs_pinned(tmp_path, capsys, monkeypatch, read_mode, block_rows, case):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
+    trace = str(tmp_path / "t.csv")
+    if case == "synth":
+        changes = str(tmp_path / "ch.csv")
+        assert main(["synth", "--universe", "3000", "--alpha", "0.7", "--clients", "3",
+                     "--rate", "1500", "--days", "2", "--cacheable-fraction", "0.85",
+                     "--seed", "21", "--renewal", "rank", "--alpha-r", "0.6",
+                     "--out", trace, "--changes-out", changes]) == 0
+        cfg = objects_cfg(tmp_path / "c.cfg", 40, policy="zipf_construction")
+        extra = ["--window-days", "1.5", "--cache-config", cfg, "--changes", changes]
+    else:
+        assert main(["ingest", write(tmp_path / "access.log", TIE_SQUID_LINES), trace]) == 0
+        extra = []
+    out, profile = tmp_path / "row.json", tmp_path / "profile.csv"
+    assert main(["analyze", trace, *extra, "--out", str(out), "--profile-out", str(profile)]) == 0
+    if case == "squid":
+        ranked = [line.split(",")[1] for line in profile.read_text().splitlines()[1:]]
+        assert ranked == ["http://z", "http://y", "http://x", "http://w"]
+    assert (sha256(out), sha256(profile)) == ANALYZE_DIGESTS[case]
+    assert_reaped(read_mode)
