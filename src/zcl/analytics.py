@@ -11,12 +11,15 @@ holds for every profile because all ranks beyond M have count exactly one,
 and it is what makes the exponent estimator a pure function of (M, p, k).
 ProfileFold builds the profile one block of a trace stream at a time, so
 its memory grows with the number of objects, not with the trace length.
+LifetimeFold takes the simulator's evictions one at a time, as its
+eviction sink, and keeps only the durations the residence means need.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -29,6 +32,7 @@ __all__ = [
     "ProfileFold",
     "LifetimeSample",
     "LifetimeStats",
+    "LifetimeFold",
     "RenewalObservables",
     "MeasurementSummary",
     "build_popularity_profile",
@@ -285,11 +289,35 @@ def _sample_from(durations_days: Sequence[float]) -> LifetimeSample:
     return LifetimeSample(mean, stderr, n)
 
 
+class LifetimeFold:
+    """Residence times of a stream of evictions, folded one eviction at a time.
+
+    add(eviction) is an eviction sink for the simulator.  It keeps only the
+    durations, in days, of the evictions whose count is 1 (t_u) or 2
+    (t_eff), as float64 arrays, so stats() gives the same bits as grouping
+    a whole eviction list.
+    """
+
+    def __init__(self):
+        self._once = array("d")
+        self._twice = array("d")
+
+    def add(self, eviction) -> None:
+        if eviction.count == 1:
+            self._once.append(eviction.duration_days)
+        elif eviction.count == 2:
+            self._twice.append(eviction.duration_days)
+
+    def stats(self) -> LifetimeStats:
+        return LifetimeStats(t_u=_sample_from(self._once), t_eff=_sample_from(self._twice))
+
+
 def lifetimes_from_evictions(evictions) -> LifetimeStats:
-    """Group an eviction log into the once- and twice-requested residence means."""
-    once = [e.duration_days for e in evictions if e.count == 1]
-    twice = [e.duration_days for e in evictions if e.count == 2]
-    return LifetimeStats(t_u=_sample_from(once), t_eff=_sample_from(twice))
+    """Group evictions into the once- and twice-requested residence means."""
+    fold = LifetimeFold()
+    for eviction in evictions:
+        fold.add(eviction)
+    return fold.stats()
 
 
 def measure_lifetimes(records, config, changes=None) -> LifetimeStats:
@@ -297,11 +325,15 @@ def measure_lifetimes(records, config, changes=None) -> LifetimeStats:
 
     Residence is eviction time minus insertion time of the same residency;
     which evictions happen is entirely the policy's business, so the numbers
-    are deterministic for a deterministic policy and trace.
+    are deterministic for a deterministic policy and trace.  The records (a
+    Trace, or any record iterable) are replayed in the blocks of
+    Trace.blocks, with a LifetimeFold as the eviction sink.
     """
-    from .simcache import simulate
+    from .simcache import replay
 
-    return lifetimes_from_evictions(simulate(records, config, changes).evictions)
+    fold = LifetimeFold()
+    replay(Trace.from_records(records).blocks(), [config], changes, [fold.add])
+    return fold.stats()
 
 
 def merge_profiles(a: PopularityProfile, b: PopularityProfile) -> PopularityProfile:

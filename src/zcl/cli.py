@@ -18,7 +18,11 @@ their memory grows with the number of objects, not with the trace length.
 Errors keep the order of reading the whole trace first: a bad trace wins
 over a bad change log or config and over a replay error.  `analyze` knows
 that its window holds no cacheable request only at the end of the stream,
-so a bad config or a replay error is reported before that.
+so a bad config or a replay error is reported before that.  `simulate`
+opens `--evictions-out` after its configs parse and writes each row as the
+eviction happens, so an unwritable `--evictions-out` wins over a replay
+(order) error, and a replay that fails leaves a partial `--evictions-out`
+under a manifest whose status is `incomplete`.
 """
 
 from __future__ import annotations
@@ -76,29 +80,41 @@ def _open_out(path: str):
         raise InputError(f"cannot write {path}: {exc}")
 
 
+def _trace_read_error(path: str, exc: OSError) -> InputError:
+    return InputError(f"cannot read trace {path}: {exc}")
+
+
+def _read_trace_errors(blocks, path: str):
+    """blocks, with an OSError raised while reading them as `cannot read trace`."""
+    try:
+        yield from blocks
+    except OSError as exc:
+        raise _trace_read_error(path, exc)
+
+
 @contextlib.contextmanager
 def _trace_blocks(path: str):
     """The trace at path as a stream of blocks, parsed by trace.read_blocks
     through trace.read_ahead.
 
     An error raised in the body first drains the stream, so a bad trace wins
-    over it, as when the whole trace was read first.  An OSError is the
-    trace's: `cannot read trace` (the loaders of the other inputs raise
-    InputError).
+    over it, as when the whole trace was read first.  An OSError from
+    opening the trace or reading its blocks is the trace's: `cannot read
+    trace`.  One raised by the body itself, such as a full disk under an
+    output written during the replay, passes through as it is.
     """
     try:
-        with (
-            open(path, encoding="utf-8") as f,
-            contextlib.closing(trace.read_ahead(trace.read_blocks(f))) as blocks,
-        ):
-            try:
-                yield blocks
-            except Exception:
-                for _ in blocks:
-                    pass
-                raise
+        f = open(path, encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read trace {path}: {exc}")
+        raise _trace_read_error(path, exc)
+    with f, contextlib.closing(trace.read_ahead(trace.read_blocks(f))) as reader:
+        blocks = _read_trace_errors(reader, path)
+        try:
+            yield blocks
+        except Exception:
+            for _ in blocks:
+                pass
+            raise
 
 
 def _load_changes(path: str | None):
@@ -201,12 +217,13 @@ def cmd_ingest(args, manifest) -> int:
 
 def cmd_analyze(args, manifest) -> int:
     fold = analytics.ProfileFold(args.window_days)
+    lifetimes = analytics.LifetimeFold()
     with _trace_blocks(args.trace) as blocks:
         windowed = map(fold.add, blocks)
         changes = _load_changes(args.changes)
         if args.cache_config:
             config = _cache_config(_parse_flat_config(args.cache_config))
-            result = simcache.replay(windowed, [config], changes)[0]
+            result = simcache.replay(windowed, [config], changes, [lifetimes.add])[0]
         else:
             for _ in windowed:
                 pass
@@ -235,16 +252,16 @@ def cmd_analyze(args, manifest) -> int:
     }
 
     if args.cache_config:
-        lifetimes = analytics.lifetimes_from_evictions(result.evictions)
+        stats = lifetimes.stats()
         summary = analytics.MeasurementSummary.from_simulation(result)
         row.update(
             {
                 "S_eff": config.capacity_bytes,
                 "S_eff_over_nu_int_days": summary.size_to_traffic_days,
-                "t_u_days": lifetimes.t_u.mean_days,
-                "t_u_stderr_days": lifetimes.t_u.stderr_days,
-                "T_eff_days": lifetimes.t_eff.mean_days,
-                "T_eff_stderr_days": lifetimes.t_eff.stderr_days,
+                "t_u_days": stats.t_u.mean_days,
+                "t_u_stderr_days": stats.t_u.stderr_days,
+                "T_eff_days": stats.t_eff.mean_days,
+                "T_eff_stderr_days": stats.t_eff.stderr_days,
                 "H_pct": result.hit_ratio * 100.0,
                 "HB_pct": result.byte_hit_ratio * 100.0,
             }
@@ -320,10 +337,19 @@ def _simulation_payload(result: simcache.SimulationResult, config: simcache.Cach
             "stale_misses": result.stale_misses,
             "uncacheable": result.uncacheable,
             "bypassed": result.bypassed,
-            "evictions": len(result.evictions),
+            "evictions": result.evictions,
         }
     )
     return payload
+
+
+def _eviction_writer(f):
+    """An eviction sink that writes each eviction to f as a CSV row, after the header."""
+    rows = csv.writer(f, lineterminator="\n")
+    rows.writerow(("object_id", "insert_ts", "evict_ts", "count"))
+    return lambda ev: rows.writerow(
+        (ev.object_id, repr(ev.insert_ts), repr(ev.evict_ts), ev.count)
+    )
 
 
 def cmd_simulate(args, manifest) -> int:
@@ -332,20 +358,18 @@ def cmd_simulate(args, manifest) -> int:
     with _trace_blocks(args.trace) as blocks:
         changes = _load_changes(args.changes)
         configs = [_cache_config(_parse_flat_config(path)) for path in args.configs]
-        results = simcache.replay(blocks, configs, changes)
+        # Opened after the configs parse, so a bad change log or config,
+        # like a bad trace, wins over an unwritable path.
+        with (
+            _open_out(args.evictions_out) if args.evictions_out else contextlib.nullcontext()
+        ) as ev_file:
+            sinks = None if ev_file is None else [_eviction_writer(ev_file)]
+            results = simcache.replay(blocks, configs, changes, sinks)
     payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
     out_doc = payloads[0] if len(payloads) == 1 else payloads
     with _open_out(args.out) as f:
         _dump_json(out_doc, f)
     result = results[0]
-    if args.evictions_out:
-        with _open_out(args.evictions_out) as f:
-            rows = csv.writer(f, lineterminator="\n")
-            rows.writerow(("object_id", "insert_ts", "evict_ts", "count"))
-            rows.writerows(
-                (ev.object_id, repr(ev.insert_ts), repr(ev.evict_ts), ev.count)
-                for ev in result.evictions
-            )
     if args.occupancy_out:
         with _open_out(args.occupancy_out) as f:
             rows = csv.writer(f, lineterminator="\n")

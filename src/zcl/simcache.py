@@ -21,8 +21,13 @@ object charges exactly 1, which is the objects-mode used when comparing
 against size-free analytical results.
 
 An engine per policy holds only the policy state: the cache parts, the
-request counts, the change log, the eviction log and a count of bypasses
-(requests whose object could not be placed).  Its access(obj, now, charge)
+request counts, the change log, a count of evictions and a count of
+bypasses (requests whose object could not be placed).  It keeps no
+eviction log: with an optional sink attached, it hands each eviction, as
+one Eviction, to the sink when it happens.  So the one reader of the
+evictions (the `--evictions-out` writer, the lifetime fold of `zcl
+analyze`, or a list's append) sees them in order, and the simulator's
+memory does not depend on who reads them.  Its access(obj, now, charge)
 applies one cacheable request; the front end that drives it resolves the
 charge, the size or 1, so no engine knows the accounting mode.  Two front
 ends drive it.  CacheSim.process takes one TraceRecord at a time and is
@@ -46,7 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,7 +156,7 @@ class SimulationResult:
     total_bytes: int = 0
     start_ts: float = 0.0
     end_ts: float = 0.0
-    evictions: list[Eviction] = field(default_factory=list)
+    evictions: int = 0
     occupancy: list[OccupancySample] = field(default_factory=list)
 
     @property
@@ -213,14 +218,18 @@ class _Stats:
         self.residency_start = now
 
 
+EvictionSink = Callable[[Eviction], object]
+
+
 class _Engine:
     """What both policies share: request counts of dropped entries, freshness,
-    the bypass count and the eviction log.
+    the bypass count and the eviction count.
 
     access(obj, now, charge) applies one cacheable request that takes charge
-    units of capacity and returns _HIT, _STALE_MISS or _MISS.  The eviction
-    log holds one Eviction per eviction, built when it happens with the
-    object's id: ids[obj], or obj itself when ids is None.
+    units of capacity and returns _HIT, _STALE_MISS or _MISS.  Each eviction
+    is counted and, when a sink is attached, handed to it as one Eviction,
+    built when it happens with the object's id: ids[obj], or obj itself when
+    ids is None.
     """
 
     def __init__(
@@ -228,14 +237,16 @@ class _Engine:
         config: CacheConfig,
         changes: dict[Hashable, Sequence[float]],
         ids: Sequence[str] | None,
+        sink: EvictionSink | None,
     ):
         self.capacity = config.capacity_bytes
         self.changes = changes  # empty when there is no change log
         self.ids = ids
+        self.sink = sink
         # Global request counts of objects whose entry was dropped; a new
         # entry takes its object's count from here.
         self._dropped: dict[Hashable, int] = {}
-        self.evictions: list[Eviction] = []
+        self.evictions = 0
         self.bypassed = 0
 
     def _fresh(self, obj: Hashable, last_fetch: float, now: float) -> bool:
@@ -253,10 +264,10 @@ class _Engine:
         self._dropped[obj] = stats.earlier + stats.count
 
     def _log_eviction(self, obj: Hashable, stats: _Stats, now: float):
-        object_id = obj if self.ids is None else self.ids[obj]
-        self.evictions.append(
-            Eviction(object_id, stats.residency_start, now, stats.earlier + stats.count)
-        )
+        self.evictions += 1
+        if self.sink is not None:
+            object_id = obj if self.ids is None else self.ids[obj]
+            self.sink(Eviction(object_id, stats.residency_start, now, stats.earlier + stats.count))
 
 
 class _LruEngine(_Engine):
@@ -265,8 +276,9 @@ class _LruEngine(_Engine):
         config: CacheConfig,
         changes: dict[Hashable, Sequence[float]],
         ids: Sequence[str] | None,
+        sink: EvictionSink | None,
     ):
-        super().__init__(config, changes, ids)
+        super().__init__(config, changes, ids, sink)
         self.entries: OrderedDict[Hashable, _Stats] = OrderedDict()
         self.used = 0
 
@@ -309,8 +321,9 @@ class _ZipfEngine(_Engine):
         config: CacheConfig,
         changes: dict[Hashable, Sequence[float]],
         ids: Sequence[str] | None,
+        sink: EvictionSink | None,
     ):
-        super().__init__(config, changes, ids)
+        super().__init__(config, changes, ids, sink)
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
         self.managing: dict[Hashable, _Stats] = {}
@@ -541,8 +554,8 @@ class CacheSim:
     feeding events one by one gives exactly the result ``simulate`` gives
     over the same stream.  Object keys are opaque to the simulator: whatever
     ``process`` (or ``replay``, with int codes) passes in is what the change
-    log is keyed by.  The eviction log holds ids[key], or the key itself
-    when ids is None.
+    log is keyed by.  sink, if given, is called with each Eviction as it
+    happens; its object_id is ids[key], or the key itself when ids is None.
     """
 
     def __init__(
@@ -550,10 +563,11 @@ class CacheSim:
         config: CacheConfig,
         changes: dict[Hashable, Sequence[float]] | None = None,
         ids: Sequence[str] | None = None,
+        sink: EvictionSink | None = None,
     ):
         self.config = config
         engine = _LruEngine if config.policy is Policy.LRU else _ZipfEngine
-        self._engine = engine(config, {} if changes is None else changes, ids)
+        self._engine = engine(config, {} if changes is None else changes, ids, sink)
         self._result = SimulationResult(
             policy=config.policy,
             capacity_bytes=config.capacity_bytes,
@@ -665,7 +679,7 @@ class CacheSim:
             self._finalized = True
             if self._events % self.config.occupancy_stride != 0 and self._last_ts is not None:
                 r.occupancy.append(self._engine.occupancy(self._last_ts))
-        r.evictions = list(self._engine.evictions)
+        r.evictions = self._engine.evictions
         r.bypassed = self._engine.bypassed
         return r
 
@@ -674,20 +688,26 @@ def replay(
     blocks: Iterable[Block],
     configs: Sequence[CacheConfig],
     changes: dict[str, Sequence[float]] | None = None,
+    sinks: Sequence[EvictionSink | None] | None = None,
 ) -> list[SimulationResult]:
     """Run several configurations, in config order, over one stream of trace blocks.
 
     Each block is replayed through every configuration before the next is
     taken, with int object codes as keys.  As each block brings its new ids,
-    they join the id table the eviction logs read and the change log is
-    re-keyed to their codes.  Each configuration is given the block's
+    they join the id table the evictions are named from and the change log
+    is re-keyed to their codes.  Each configuration is given the block's
     charges: its cacheable sizes in byte accounting, 1 each in objects mode.
+    sinks, if given, holds one eviction sink (or None) per configuration.
     """
     if not configs:
         raise ValueError("need at least one configuration")
+    if sinks is None:
+        sinks = [None] * len(configs)
+    elif len(sinks) != len(configs):
+        raise ValueError(f"{len(sinks)} eviction sinks for {len(configs)} configurations")
     ids: list[str] = []
     keyed: dict[int, Sequence[float]] = {}  # the change log by code, shared by every engine
-    sims = [CacheSim(config, keyed, ids) for config in configs]
+    sims = [CacheSim(config, keyed, ids, sink) for config, sink in zip(configs, sinks)]
     for block in blocks:
         if changes:
             for code, obj in enumerate(block.new_object_ids, len(ids)):

@@ -37,9 +37,9 @@ from zcl.analytics import (
     merge_profiles,
     renewal_observables,
 )
-from zcl.simcache import HIT, MISS, CacheConfig, CacheSim, Policy, simulate
+from zcl.simcache import HIT, MISS, CacheConfig, CacheSim, Policy, replay, simulate
 from zcl.synth import RankDependentRenewal, SyntheticWorkloadSpec, generate_synthetic_trace
-from zcl.trace import TraceRecord
+from zcl.trace import Trace, TraceRecord
 
 # (M, p, k) in units of 1e5; quoted alpha per row.
 REFERENCE_ROWS = [
@@ -249,12 +249,13 @@ def test_criterion_08_simulator_oracles():
             obj = f"o{min(int(rng.paretovariate(0.8)), 249)}"
             records.append(TraceRecord(t, "c0", obj, sizes[obj], rng.random() < 0.9))
         config = CacheConfig(capacity_bytes=40_000, policy=policy)
-        whole = simulate(records, config)
-        stepper = CacheSim(config)
+        whole_log, stepped_log = [], []
+        (whole,) = replay(Trace.from_records(records).blocks(), [config], None, [whole_log.append])
+        stepper = CacheSim(config, sink=stepped_log.append)
         for r in records:
             stepper.process(r)
         stepped = stepper.result()
-        if stepped.evictions != whole.evictions or stepped.hits != whole.hits:
+        if stepped_log != whole_log or stepped != whole or not whole_log:
             problems.append(f"event-step replay diverged for {policy.value}")
 
     report(8, "simulator oracles", not problems, f" ({'; '.join(problems)})" if problems else "")
@@ -328,10 +329,14 @@ def test_criterion_11_lifetime_coincidence():
     )
     out = generate_synthetic_trace(spec)
     day_of_traffic = 10_000  # objects-mode capacity worth one day of requests
-    result = simulate(
-        out.records, CacheConfig(capacity_bytes=day_of_traffic, byte_accounting=False)
+    evictions = []
+    (result,) = replay(
+        Trace.from_records(out.records).blocks(),
+        [CacheConfig(capacity_bytes=day_of_traffic, byte_accounting=False)],
+        None,
+        [evictions.append],
     )
-    stats = lifetimes_from_evictions(result.evictions)
+    stats = lifetimes_from_evictions(evictions)
     t_u, t_eff = stats.t_u, stats.t_eff
     assert result.hit_ratio >= 0.30, "capacity must give at least 30% hits"
     assert t_u.count >= 2 and t_eff.count >= 2

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from zcl import analytics
 from zcl.analytics import (
+    LifetimeFold,
     PopularityProfile,
     ProfileFold,
     alpha_growth_constant,
@@ -18,7 +20,7 @@ from zcl.analytics import (
     merge_profiles,
     renewal_observables,
 )
-from zcl.simcache import CacheConfig, Eviction, Policy
+from zcl.simcache import CacheConfig, Eviction, Policy, replay
 from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
 from zcl.trace import Trace, TraceRecord
 
@@ -409,6 +411,23 @@ def test_lifetimes_from_eviction_log_groups_by_count():
     assert stats.t_u.stderr_days == pytest.approx(np.std([1, 3], ddof=1) / math.sqrt(2))
     assert stats.t_eff.mean_days == pytest.approx(2.0)
     assert stats.t_eff.count == 1
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_lifetime_fold_as_sink_equals_grouping_the_eviction_list(policy):
+    """The fold fed during the replay gives the bits of numpy over each class's list."""
+    rng = random.Random(5)
+    records = [rec(t * 600.0, f"o{int(rng.paretovariate(0.8)) % 300}") for t in range(5000)]
+    config = CacheConfig(capacity_bytes=40, policy=policy, byte_accounting=False)
+    evictions, fold = [], LifetimeFold()
+    replay(Trace.from_records(records).blocks(), [config, config], None,
+           [evictions.append, fold.add])
+    for count, sample in ((1, fold.stats().t_u), (2, fold.stats().t_eff)):
+        durations = np.array([e.duration_days for e in evictions if e.count == count])
+        assert sample.count == len(durations) >= 2
+        assert sample.mean_days == float(durations.mean())
+        assert sample.stderr_days == float(durations.std(ddof=1) / math.sqrt(len(durations)))
+    assert fold.stats() == lifetimes_from_evictions(evictions) == measure_lifetimes(records, config)
 
 
 # --- measurement summary ---------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 import zcl
 from zcl import cli
+from zcl import simcache as simcache_module
 from zcl import synth as synth_module
 from zcl import trace as trace_module
 from zcl.cli import main
@@ -363,6 +364,18 @@ def test_analyze_never_holds_the_whole_trace(tmp_path, capsys, monkeypatch, read
     assert json.loads(capsys.readouterr().out)["K"] == 9
 
 
+@pytest.mark.parametrize("policy", ["lru", "zipf_construction"])
+def test_simulate_builds_no_eviction_without_evictions_out(tmp_path, capsys, monkeypatch, policy):
+    def built(*args):
+        raise AssertionError("an Eviction was built")
+
+    monkeypatch.setattr(simcache_module, "Eviction", built)
+    trace = trace_csv(tmp_path / "t.csv", [row(float(t), f"o{t % 7}") for t in range(40)])
+    cfg = objects_cfg(tmp_path / "c.cfg", 2, policy=policy)
+    assert main(trace_command("simulate", trace, cfg, str(tmp_path / "r.json"))) == 0
+    assert json.loads(capsys.readouterr().out)["evictions"] > 0
+
+
 def test_simulate_exits_1_when_the_reader_dies(tmp_path):
     rows = [row(float(t), f"o{t % 5}") for t in range(40)]
     trace = trace_csv(tmp_path / "t.csv", rows)
@@ -404,16 +417,44 @@ def test_simulate_trace_error_wins_over_an_earlier_order_error(
 
 
 @STREAMING
-@pytest.mark.parametrize("bad", ["config", "change log"])
+@pytest.mark.parametrize("bad", ["config", "change log", "output"])
 def test_simulate_trace_error_wins_over_a_config_error(tmp_path, capsys, read_mode, command, bad):
     trace = trace_csv(tmp_path / "t.csv", [row(0.0, "A"), "1.0,c0,B,1\n"])
+    cfg, extra = objects_cfg(tmp_path / "c.cfg", 5), []
     if bad == "config":
-        cfg, changes = write(tmp_path / "c.cfg", "capacity_bytes=5\nwhatever=1\n"), []
+        cfg = write(tmp_path / "c.cfg", "capacity_bytes=5\nwhatever=1\n")
+    elif bad == "change log":
+        extra = ["--changes", write(tmp_path / "ch.csv", "object_id,change_timestamp_s\nA,x\n")]
     else:
-        cfg = objects_cfg(tmp_path / "c.cfg", 5)
-        changes = ["--changes", write(tmp_path / "ch.csv", "object_id,change_timestamp_s\nA,x\n")]
-    assert main(trace_command(command, trace, cfg, str(tmp_path / "r.json"), *changes)) == 2
+        # `simulate` opens --evictions-out before its replay; `analyze` has no
+        # such output, and opens --profile-out after the stream.
+        (tmp_path / "not-a-dir").write_text("")
+        flag = "--evictions-out" if command == "simulate" else "--profile-out"
+        extra = [flag, str(tmp_path / "not-a-dir" / "x")]
+    assert main(trace_command(command, trace, cfg, str(tmp_path / "r.json"), *extra)) == 2
     assert capsys.readouterr().err == "error: line 3: row has too few columns\n"
+
+
+def test_simulate_evictions_out_is_written_during_the_replay(tmp_path, capsys, monkeypatch):
+    # Blocks of two rows: the first two blocks evict three times at capacity
+    # one, then the third block goes back in time.
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 2)
+    rows = [row(0.0, "A"), row(1.0, "B"), row(2.0, "C"), row(3.0, "D"), row(1.5, "E")]
+    trace = trace_csv(tmp_path / "t.csv", rows)
+    cfg = objects_cfg(tmp_path / "c.cfg", 1)
+    out, ev = str(tmp_path / "r.json"), tmp_path / "ev.csv"
+    assert main(["simulate", trace, cfg, "--out", out, "--evictions-out", str(ev)]) == 2
+    assert capsys.readouterr().err == "error: records out of order: 1.5 after 3.0\n"
+    # The rows written before the replay failed stay, under an incomplete manifest.
+    assert ev.read_text() == (
+        "object_id,insert_ts,evict_ts,count\nA,0.0,1.0,1\nB,1.0,2.0,1\nC,2.0,3.0,1\n"
+    )
+    assert json.loads(Path(out + ".manifest.json").read_text())["status"] == "incomplete"
+    # An unwritable --evictions-out is opened before the replay, so it wins.
+    (tmp_path / "not-a-dir").write_text("")
+    bad = str(tmp_path / "not-a-dir" / "x")
+    assert main(["simulate", trace, cfg, "--out", out, "--evictions-out", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: [Errno 20]")
 
 
 @pytest.mark.parametrize("block_rows", [2, 1 << 16])
@@ -654,10 +695,20 @@ def test_an_output_that_cannot_be_opened_exits_2(tmp_path, capsys, kind):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_write_that_fails_after_the_open_exits_1(tmp_path, capsys):
-    out = tmp_path / "t.csv"
-    out.symlink_to("/dev/full")
-    assert main([*SMALL_SYNTH, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("internal error: [Errno 28] No space left on device")
+    full = tmp_path / "full"
+    full.symlink_to("/dev/full")
+    # Over 2000 eviction rows at capacity 1: the writer flushes during the
+    # replay, inside the trace reader's body, and the error is not the trace's.
+    trace = trace_csv(tmp_path / "t.csv", [row(float(t), f"o{t}") for t in range(2500)])
+    cfg = objects_cfg(tmp_path / "c.cfg", 1)
+    for argv in (
+        [*SMALL_SYNTH, "--out", str(full)],
+        ["simulate", trace, cfg, "--out", str(tmp_path / "r.json"), "--evictions-out", str(full)],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "internal error: [Errno 28] No space left on device"
+        )
 
 
 def test_manifest_lists_every_output(tmp_path):

@@ -41,9 +41,24 @@ def objects_config(capacity, policy=Policy.LRU, **kw):
     return CacheConfig(capacity_bytes=capacity, policy=policy, byte_accounting=False, **kw)
 
 
-def engine_evictions(sim):
-    """The eviction log so far, read mid-stream from the engine."""
-    return list(sim._engine.evictions)
+def logged_sim(config, changes=None):
+    """A CacheSim, and the list its evictions are appended to as they happen."""
+    log = []
+    return CacheSim(config, changes, sink=log.append), log
+
+
+def logged_replay(blocks, configs, changes=None):
+    """replay, and one list per config that its evictions are appended to."""
+    logs = [[] for _ in configs]
+    results = replay(blocks, configs, changes, [log.append for log in logs])
+    assert [r.evictions for r in results] == list(map(len, logs))
+    return results, logs
+
+
+def simulate_logged(records, config, changes=None):
+    """simulate, and the list of its evictions."""
+    (result,), (log,) = logged_replay(Trace.from_records(records).blocks(), [config], changes)
+    return result, log
 
 
 # --- basic contracts ------------------------------------------------------------
@@ -57,7 +72,7 @@ def test_infinite_capacity_hit_ratio_is_repeat_fraction():
     k = len(records)
     assert result.hits == k - p
     assert result.hit_ratio == (k - p) / k
-    assert not result.evictions
+    assert result.evictions == 0
 
 
 def test_capacity_one_alternating_never_hits():
@@ -93,12 +108,13 @@ HAND_EVICTIONS = [
 
 
 def test_lru_hand_oracle_event_for_event():
-    sim = CacheSim(objects_config(3))
+    sim, log = logged_sim(objects_config(3))
     outcomes = [sim.process(rec(t + 1, obj)) for t, obj in enumerate(HAND_TRACE)]
     assert outcomes == HAND_OUTCOMES
     result = sim.result()
     assert result.hits == 1
-    got = [(e.object_id, e.insert_ts, e.evict_ts, e.count) for e in result.evictions]
+    assert result.evictions == len(HAND_EVICTIONS)
+    got = [(e.object_id, e.insert_ts, e.evict_ts, e.count) for e in log]
     assert got == [(o, float(i), float(e), c) for o, i, e, c in HAND_EVICTIONS]
 
 
@@ -165,10 +181,10 @@ def test_request_conservation_and_rate_ordering():
 def test_determinism_identical_eviction_logs():
     rng = random.Random(9)
     records = [rec(t * 2.0, f"o{rng.randrange(50)}", size=rng.randrange(1, 500)) for t in range(2000)]
-    a = simulate(records, CacheConfig(capacity_bytes=5000))
-    b = simulate(records, CacheConfig(capacity_bytes=5000))
-    assert a.evictions == b.evictions
-    assert a.occupancy == b.occupancy
+    a, a_log = simulate_logged(records, CacheConfig(capacity_bytes=5000))
+    b, b_log = simulate_logged(records, CacheConfig(capacity_bytes=5000))
+    assert a_log == b_log and a_log
+    assert a == b
 
 
 def test_lru_stack_property_uniform_sizes():
@@ -195,12 +211,11 @@ def test_repeat_request_promotes_to_kernel():
 def test_ghost_returns_straight_into_kernel():
     # capacity 3, kernel 1 + accessory 2: A is pushed out of the accessory by
     # C, then returns as a ghost and must land in the kernel.
-    sim = CacheSim(objects_config(3, Policy.ZIPF_CONSTRUCTION))
+    sim, log = logged_sim(objects_config(3, Policy.ZIPF_CONSTRUCTION))
     assert sim.process(rec(1, "A")) == MISS
     assert sim.process(rec(2, "B")) == MISS
     assert sim.process(rec(3, "C")) == MISS  # evicts A (FIFO)
-    evicted = engine_evictions(sim)
-    assert [(e.object_id, e.count) for e in evicted] == [("A", 1)]
+    assert [(e.object_id, e.count) for e in log] == [("A", 1)]
     assert sim.process(rec(4, "A")) == MISS  # ghost: refetch into kernel
     stats = sim._engine.managing["A"]
     assert stats.resident and stats.in_kernel and stats.count == 2
@@ -209,17 +224,17 @@ def test_ghost_returns_straight_into_kernel():
 
 
 def test_accessory_eviction_is_fifo_by_insertion():
-    sim = CacheSim(objects_config(4, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.26))
+    sim, log = logged_sim(objects_config(4, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.26))
     # kernel capacity 1, accessory 3
     for t, obj in enumerate(["A", "B", "C", "D", "E"], start=1):
         sim.process(rec(t, obj))
-    gone = [e.object_id for e in engine_evictions(sim)]
+    gone = [e.object_id for e in log]
     assert gone == ["A", "B"]  # oldest inserted leave first
     sim.check_invariants()
 
 
 def test_kernel_eviction_prefers_low_count_then_stale_recency():
-    sim = CacheSim(objects_config(6, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.34))
+    sim, log = logged_sim(objects_config(6, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.34))
     # kernel capacity 2, accessory 4
     t = iter(range(1, 100))
     for obj in ["A", "A", "B", "B"]:  # A and B promoted into the kernel
@@ -231,18 +246,18 @@ def test_kernel_eviction_prefers_low_count_then_stale_recency():
         o for o, s in sim._engine.managing.items() if s.resident and s.in_kernel
     }
     assert kernel_members == {"A", "C"}  # B had the minimum count
-    assert [e.object_id for e in engine_evictions(sim)] == ["B"]
+    assert [e.object_id for e in log] == ["B"]
     sim.check_invariants()
 
 
 def test_kernel_ties_leave_in_order_of_reaching_the_count():
     # Kernel of 2, every request at one timestamp.  B is admitted before A,
     # but A reaches count 2 first, so A is the first count-2 victim.
-    sim = CacheSim(objects_config(6, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.34))
+    sim, log = logged_sim(objects_config(6, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.34))
     for obj in ["B", "A", "A", "B", "C", "C", "D", "D"]:
         sim.process(rec(7, obj))
         sim.check_invariants()
-    assert [e.object_id for e in engine_evictions(sim)] == ["A", "B"]
+    assert [e.object_id for e in log] == ["A", "B"]
 
 
 def test_managing_never_drops_resident_entries():
@@ -296,11 +311,11 @@ def test_forgotten_ghost_readmitted_as_new():
 def test_zero_length_kernel_residency_logged_once():
     # Kernel of 1 already held by a count-3 object: a promoted count-2 object
     # is itself the minimum and leaves immediately, exactly one log entry.
-    sim = CacheSim(objects_config(3, Policy.ZIPF_CONSTRUCTION))
+    sim, log = logged_sim(objects_config(3, Policy.ZIPF_CONSTRUCTION))
     t = iter(range(1, 100))
     for obj in ["A", "A", "A", "B", "B"]:
         sim.process(rec(next(t), obj))
-    entries = [e for e in engine_evictions(sim) if e.object_id == "B"]
+    entries = [e for e in log if e.object_id == "B"]
     assert len(entries) == 1
     assert entries[0].count == 2
     sim.check_invariants()
@@ -416,7 +431,7 @@ def test_unbounded_cache_matches_wolman_integral():
             if record.timestamp >= warmup_s and record.cacheable:
                 requests += 1
                 hits += outcome == HIT
-        assert not sim.result().evictions
+        assert sim.result().evictions == 0
         assert hits / requests == pytest.approx(expected, abs=3e-3)
 
 
@@ -445,12 +460,13 @@ def random_workload(seed, n_events=10_000, n_objects=300):
 def test_event_replay_equals_whole_trace(policy):
     records, changes = random_workload(31)
     config = CacheConfig(capacity_bytes=100_000, policy=policy, occupancy_stride=997)
-    whole = simulate(records, config, changes)
-    sim = CacheSim(config, changes)
+    whole, whole_log = simulate_logged(records, config, changes)
+    sim, stepped_log = logged_sim(config, changes)
     for r in records:
         sim.process(r)
     stepped = sim.result()
-    assert stepped.evictions == whole.evictions
+    assert stepped_log == whole_log and whole_log
+    assert stepped.evictions == whole.evictions == len(whole_log)
     assert stepped.occupancy == whole.occupancy
     for field in ("hits", "misses", "stale_misses", "uncacheable", "bypassed",
                   "hit_bytes", "origin_bytes", "total_bytes", "requests"):
@@ -499,12 +515,13 @@ def cache_configs(policies):
 
 
 def process_checked(records, config, changes):
-    """CacheSim.process over records, checking the engine after every event.
+    """CacheSim.process over records, checking the engine after every event,
+    and the list of its evictions.
 
     After each admission the managing part must be within its bound, unless
     no ghost was left to drop: only admissions enforce the bound.
     """
-    sim = CacheSim(config, changes)
+    sim, log = logged_sim(config, changes)
     engine = sim._engine
     zipf = config.policy is Policy.ZIPF_CONSTRUCTION
     for r in records:
@@ -515,7 +532,9 @@ def process_checked(records, config, changes):
             assert len(engine.managing) <= engine._managing_bound() or all(
                 stats.resident for stats in engine.managing.values()
             )
-    return sim.result()
+    result = sim.result()
+    assert result.evictions == len(log)
+    return result, log
 
 
 @given(case=replay_cases())
@@ -523,12 +542,13 @@ def process_checked(records, config, changes):
 def test_simulate_equals_per_event_process(case):
     """simulate over a Trace (int keys) against CacheSim.process over records (id keys)."""
     records, changes, config = case
-    expected = process_checked(records, config, changes)
+    expected, expected_log = process_checked(records, config, changes)
     for block in (1, 7, 1 << 16):  # replay blocks of one, several and all requests
         with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
-            got = simulate(Trace.from_records(records), config, changes)
+            assert simulate(Trace.from_records(records), config, changes) == expected
+            got, log = simulate_logged(Trace.from_records(records), config, changes)
         assert got == expected
-        assert got.evictions == expected.evictions
+        assert log == expected_log
         assert got.occupancy == expected.occupancy
 
 
@@ -545,16 +565,24 @@ def test_lockstep_replay_equals_per_config_process(case, data):
     configs += data.draw(st.lists(cache_configs(st.sampled_from(list(Policy))), max_size=1))
     configs = data.draw(st.permutations(configs))
     changes = data.draw(st.sampled_from([changes, None]))
-    expected = [process_checked(records, config, changes) for config in configs]
+    expected, expected_logs = map(list, zip(*(
+        process_checked(records, config, changes) for config in configs
+    )))
     text = io.StringIO()
     write_canonical_csv(records, text)
     for block in (1, 7, 1 << 16):
         with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
             assert compare_policies(Trace.from_records(records), configs, changes) == expected
+            whole, logs = logged_replay(Trace.from_records(records).blocks(), configs, changes)
+        assert whole == expected
+        assert logs == expected_logs  # one list per config, in config order
         # Streamed blocks bring their ids one block at a time.
         with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
-            streamed = replay(read_blocks(io.StringIO(text.getvalue())), configs, changes)
+            streamed, logs = logged_replay(
+                read_blocks(io.StringIO(text.getvalue())), configs, changes
+            )
         assert streamed == expected
+        assert logs == expected_logs
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -581,10 +609,20 @@ def test_occupancy_never_exceeds_capacity():
 def test_compare_single_config_equals_simulate():
     records, _ = random_workload(13, n_events=2000)
     config = CacheConfig(capacity_bytes=30_000)
-    (via_compare,) = compare_policies(records, [config])
-    direct = simulate(records, config)
-    assert via_compare.evictions == direct.evictions
-    assert via_compare.hits == direct.hits
+    logs = []
+
+    def replay_logged(blocks, configs, changes=None):
+        logs.append([])
+        return replay(blocks, configs, changes, [logs[-1].append])
+
+    # Both wrap replay; each call gets a list sink for its one config.
+    with mock.patch.object(simcache_module, "replay", replay_logged):
+        (via_compare,) = compare_policies(records, [config])
+        direct = simulate(records, config)
+    assert via_compare == direct
+    via_compare_log, direct_log = logs
+    assert via_compare_log == direct_log
+    assert len(direct_log) == direct.evictions > 0
 
 
 def test_compare_empty_config_list_rejected():
@@ -592,10 +630,16 @@ def test_compare_empty_config_list_rejected():
         compare_policies([], [])
 
 
+def test_replay_takes_one_sink_per_config():
+    config = objects_config(1)
+    with pytest.raises(ValueError, match="1 eviction sinks for 2 configurations"):
+        replay(Trace.from_records([rec(0, "A")]).blocks(), [config, config], None, [print])
+
+
 def test_empty_record_stream_yields_zero_result():
     result = simulate([], objects_config(5))
     assert result.requests == 0
-    assert result.evictions == [] and result.occupancy == []
+    assert result.evictions == 0 and result.occupancy == []
 
 
 def test_compare_policies_on_zipf_day_capacity():
