@@ -437,6 +437,12 @@ def cmd_model(args, manifest) -> int:
     return EXIT_OK
 
 
+# The result fields report reads; each must be a JSON number or null.
+_REPORT_FIELDS = (
+    "S_eff_over_nu_int_days", "t_u_days", "T_eff_days", "H_pct", "HB_pct", "alpha", "alpha_R", "p",
+)
+
+
 def cmd_report(args, manifest) -> int:
     try:
         os.makedirs(args.out_dir, exist_ok=True)  # holds the manifest even if the run fails
@@ -455,6 +461,10 @@ def cmd_report(args, manifest) -> int:
         found = doc if isinstance(doc, list) else [doc]
         if not all(isinstance(row, dict) for row in found):
             raise InputError(f"{path} holds neither a result object nor a list of them")
+        for row in found:
+            for field in _REPORT_FIELDS:
+                if type(row.get(field)) not in (int, float, type(None)):  # a JSON true is no number
+                    raise InputError(f"{path}: field {field!r} is {row[field]!r}, not a number")
         rows += found
     if not rows:
         raise InputError("empty result set")

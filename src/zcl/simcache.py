@@ -573,7 +573,6 @@ class CacheSim:
             capacity_bytes=config.capacity_bytes,
             byte_accounting=config.byte_accounting,
         )
-        self._events = 0
         self._last_ts: float | None = None
         self._finalized = False
 
@@ -606,8 +605,7 @@ class CacheSim:
                 r.misses += 1
                 r.origin_bytes += size
 
-        self._events += 1
-        if self._events % self.config.occupancy_stride == 0:
+        if r.requests % self.config.occupancy_stride == 0:
             r.occupancy.append(self._engine.occupancy(now))
         return outcome
 
@@ -642,7 +640,7 @@ class CacheSim:
         # Samples fall after every occupancy_stride-th event, uncacheable ones
         # included; each becomes a cut in the cacheable sub-stream.
         stride = self.config.occupancy_stride
-        samples = np.arange((-self._events - 1) % stride, n, stride)
+        samples = np.arange((-r.requests - 1) % stride, n, stride)
         cuts = np.searchsorted(cacheable, samples, side="right")
         accesses = map(self._engine.access, *requests)
         outcomes = np.empty(len(cacheable), dtype=np.int8)
@@ -665,7 +663,6 @@ class CacheSim:
         r.misses += misses
         r.hit_bytes += hit_bytes
         r.origin_bytes += total - hit_bytes
-        self._events += n
         self._last_ts = float(times[-1])
 
     def check_invariants(self):
@@ -677,7 +674,7 @@ class CacheSim:
             r.end_ts = self._last_ts
         if not self._finalized:
             self._finalized = True
-            if self._events % self.config.occupancy_stride != 0 and self._last_ts is not None:
+            if r.requests % self.config.occupancy_stride != 0 and self._last_ts is not None:
                 r.occupancy.append(self._engine.occupancy(self._last_ts))
         r.evictions = self._engine.evictions
         r.bypassed = self._engine.bypassed

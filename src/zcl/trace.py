@@ -4,8 +4,10 @@ A trace is held as one Trace: numpy columns with one entry per request,
 object and client ids stored once in id tables and referenced by integer
 codes.  TraceRecord is the view of a single request.  Two on-disk forms are
 understood: the project's canonical CSV (lossless round trip) and the
-native Squid access log layout (read-only).  Both are read and written in
-blocks of rows, so no per-request object is built on the way.
+native Squid access log layout (read-only).  Both are parsed, and CSV is
+written, in blocks of rows, so each per-request Python object lives only
+for its block.  A Squid log, whose lines can be out of time order, is then
+sorted once, as columns.
 
 read_blocks parses canonical CSV as a stream of Blocks of up to _BLOCK_ROWS
 lines, each holding its rows' columns and only the ids first seen in it;
@@ -309,60 +311,59 @@ def parse_squid_log(stream: Iterable[str]) -> ParsedLog:
     A negative or non-finite timestamp, or a byte count of 2**63 or more
     (beyond int64), makes a line malformed; a byte count below 1 is clamped
     to 1.  CONNECT tunnels are uncacheable regardless of the action code.
+
+    Lines are parsed _BLOCK_ROWS at a time, as read_blocks parses CSV, so
+    each request's Python objects live only until its block becomes columns
+    (ids coded in first-seen file order); the log is then sorted as columns.
     """
-    timestamps: list[float] = []
-    clients: list[str] = []
-    urls: list[str] = []
-    sizes: list[int] = []
-    cacheable: list[bool] = []
-    origin: list[bool] = []
-    malformed = 0
-    total = 0
-    for line in stream:
-        fields = line.split()
-        if not fields:
-            continue
-        total += 1
-        if len(fields) < 7:
-            malformed += 1
-            continue
-        try:
-            ts = float(fields[0])
-            size = int(fields[4])
-        except ValueError:
-            malformed += 1
-            continue
-        if ts < 0 or not math.isfinite(ts) or size >= 2**63:
-            malformed += 1
-            continue
-        action = fields[3].split("/", 1)[0]
-        timestamps.append(ts)
-        clients.append(fields[2])
-        urls.append(fields[6])
-        sizes.append(max(1, size))
-        cacheable.append(
-            fields[5].upper() != "CONNECT" and not action.startswith(DEFAULT_UNCACHEABLE_ACTIONS)
-        )
-        origin.append(action.startswith(DEFAULT_HIT_PREFIXES))
+    lines = iter(stream)
+    object_table: dict[str, int] = {}
+    client_table: dict[str, int] = {}
+    malformed = total = 0
+
+    def blocks() -> Iterator[Block]:
+        nonlocal malformed, total
+        while True:
+            timestamps, clients, urls, sizes, cacheable, origin = [], [], [], [], [], []
+            read = 0
+            for read, line in enumerate(islice(lines, _BLOCK_ROWS), 1):
+                fields = line.split()
+                if not fields:
+                    continue
+                total += 1
+                if len(fields) < 7:
+                    malformed += 1
+                    continue
+                try:
+                    ts = float(fields[0])
+                    size = int(fields[4])
+                except ValueError:
+                    malformed += 1
+                    continue
+                if ts < 0 or not math.isfinite(ts) or size >= 2**63:
+                    malformed += 1
+                    continue
+                action = fields[3].split("/", 1)[0]
+                timestamps.append(ts)
+                clients.append(fields[2])
+                urls.append(fields[6])
+                sizes.append(max(1, size))
+                cacheable.append(fields[5].upper() != "CONNECT"
+                                 and not action.startswith(DEFAULT_UNCACHEABLE_ACTIONS))
+                origin.append(action.startswith(DEFAULT_HIT_PREFIXES))
+            objects, new_objects = _interned(urls, object_table)
+            client_codes, new_clients = _interned(clients, client_table)
+            yield Block(np.array(timestamps, dtype=np.float64), objects, client_codes,
+                        np.array(sizes, dtype=np.int64), np.array(cacheable, dtype=bool),
+                        np.array(origin, dtype=np.int8), new_objects, new_clients)
+            if read < _BLOCK_ROWS:  # the stream ends on a short, maybe empty, block
+                return
+
+    records = Trace.from_blocks(blocks())  # holds the blocks only while it joins them
     if total > 0 and malformed * 2 > total:
-        raise TraceFormatError(
-            f"{malformed} of {total} lines malformed; not a Squid access log?"
-        )
-    ts_column = np.array(timestamps, dtype=np.float64)
-    order = np.argsort(ts_column, kind="stable")
-    objects, object_ids = _interned(urls, {})
-    client_codes, client_ids = _interned(clients, {})
-    records = Trace(
-        timestamps=ts_column[order],
-        objects=objects[order],
-        object_ids=object_ids,
-        clients=client_codes[order],
-        client_ids=client_ids,
-        sizes=np.array(sizes, dtype=np.int64)[order],
-        cacheable=np.array(cacheable, dtype=bool)[order],
-        origin_hit=np.array(origin, dtype=np.int8)[order],
-    )
-    return ParsedLog(records=records, malformed=malformed, total_lines=total)
+        raise TraceFormatError(f"{malformed} of {total} lines malformed; not a Squid access log?")
+    order = np.argsort(records.timestamps, kind="stable")
+    return ParsedLog(records=records[order], malformed=malformed, total_lines=total)
 
 
 def _csv_field(value: str) -> str:

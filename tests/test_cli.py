@@ -364,6 +364,22 @@ def test_analyze_never_holds_the_whole_trace(tmp_path, capsys, monkeypatch, read
     assert json.loads(capsys.readouterr().out)["K"] == 9
 
 
+def test_ingest_never_holds_the_whole_log(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 2)
+    real = trace_module._interned
+
+    def interned(tokens, table):
+        assert len(tokens) <= 2, f"{len(tokens)} ids parsed at once"
+        return real(tokens, table)
+
+    monkeypatch.setattr(trace_module, "_interned", interned)
+    log = write(tmp_path / "access.log", QUOTING_SQUID_LINES)
+    out = tmp_path / "trace.csv"
+    assert main(["ingest", log, str(out)]) == 0
+    assert capsys.readouterr().out == "6 records, 1 malformed\n"
+    assert sha256(out) == INGEST_DIGEST
+
+
 @pytest.mark.parametrize("policy", ["lru", "zipf_construction"])
 def test_simulate_builds_no_eviction_without_evictions_out(tmp_path, capsys, monkeypatch, policy):
     def built(*args):
@@ -632,6 +648,19 @@ def test_report_rejects_json_that_holds_no_result_objects(tmp_path, capsys, doc)
     path = write(tmp_path / "r.json", doc)
     assert main(["report", path, "--out-dir", str(tmp_path / "figs")]) == 2
     assert "holds neither a result object nor a list of them" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", True])
+@pytest.mark.parametrize("field", ["S_eff_over_nu_int_days", "t_u_days", "T_eff_days", "H_pct",
+                                   "HB_pct", "alpha", "alpha_R", "p"])
+def test_report_rejects_a_field_that_is_not_a_number(tmp_path, capsys, field, value):
+    doc = result_row(5.96, 36.75, 10.78, tu=20.4, teff=18.9, alpha=0.81, alpha_r=0.7, p=607000)
+    good = write(tmp_path / "good.json", json.dumps(doc))
+    bad = write(tmp_path / "bad.json", json.dumps([doc, {**doc, field: value}]))
+    assert main(["report", good, bad, "--out-dir", str(tmp_path / "figs")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: field {field!r} is {value!r}, not a number\n"
+    )
 
 
 # --- reproducibility and the committed golden ------------------------------------
@@ -916,14 +945,18 @@ def test_synth_output_bytes_pinned(tmp_path, capsys, monkeypatch, read_mode, blo
     assert_reaped(read_mode)
 
 
-@pytest.mark.parametrize("block_rows", [2, 1 << 16])
+# The log has 7 lines and 6 records.  Blocks of 2 lines split the
+# out-of-order pair and the tied 1002.0 lines; blocks of 7 end the stream on
+# an empty block.
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 1 << 16])
 def test_ingest_output_bytes_pinned(tmp_path, capsys, monkeypatch, read_mode, block_rows):
     monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
     log = write(tmp_path / "access.log", QUOTING_SQUID_LINES)
     out = tmp_path / "trace.csv"
     assert main(["ingest", log, str(out)]) == 0
     assert sha256(out) == INGEST_DIGEST
-    assert len(read_mode) == (block_rows == 2 and trace_module._usable_cpus() > 1)
+    # Forked exactly when the 6 records span two or more writer blocks.
+    assert len(read_mode) == (6 > block_rows and trace_module._usable_cpus() > 1)
     assert_reaped(read_mode)
 
 

@@ -45,7 +45,14 @@ def test_squid_hit_line_sets_origin_hit():
     assert rec.cacheable is True
 
 
-def test_squid_garbage_line_skipped_not_fatal():
+# At one line a block, a per-block half-malformed rule would raise on the
+# lone "###" block, and a per-block sort would leave a reversed pair as it is.
+SQUID_BLOCK_ROWS = pytest.mark.parametrize("block_rows", [1, 1 << 16])
+
+
+@SQUID_BLOCK_ROWS
+def test_squid_garbage_line_skipped_not_fatal(monkeypatch, block_rows):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
     lines = [GOOD_MISS] * 10 + ["###"]
     parsed = parse_squid_log(lines)
     assert len(parsed.records) == 10
@@ -68,7 +75,9 @@ def test_squid_byte_count_beyond_int64_is_malformed():
     assert parsed.records.sizes.tolist() == [8320, 2**63 - 1]
 
 
-def test_squid_mostly_garbage_is_format_error():
+@SQUID_BLOCK_ROWS
+def test_squid_mostly_garbage_is_format_error(monkeypatch, block_rows):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
     lines = ["not a log line at all"] * 6 + [GOOD_MISS] * 4
     with pytest.raises(TraceFormatError):
         parse_squid_log(lines)
@@ -86,7 +95,9 @@ def test_squid_denied_and_connect_uncacheable():
     assert parsed.records[2].size_bytes == 1
 
 
-def test_squid_output_sorted_by_time():
+@SQUID_BLOCK_ROWS
+def test_squid_output_sorted_by_time(monkeypatch, block_rows):
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", block_rows)
     lines = [GOOD_HIT, GOOD_MISS]  # reversed timestamps
     parsed = parse_squid_log(lines)
     assert [r.timestamp for r in parsed.records] == [1000.5, 1001.0]
