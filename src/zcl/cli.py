@@ -465,6 +465,8 @@ def cmd_report(args, manifest) -> int:
             for field in _REPORT_FIELDS:
                 if type(row.get(field)) not in (int, float, type(None)):  # a JSON true is no number
                     raise InputError(f"{path}: field {field!r} is {row[field]!r}, not a number")
+            if (row.get("p") or 0) < 0:  # a p of 0 or null has no renewal profile
+                raise InputError(f"{path}: field 'p' is {row['p']!r}, below 0")
         rows += found
     if not rows:
         raise InputError("empty result set")

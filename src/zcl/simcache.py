@@ -691,10 +691,11 @@ def replay(
 
     Each block is replayed through every configuration before the next is
     taken, with int object codes as keys.  As each block brings its new ids,
-    they join the id table the evictions are named from and the change log
-    is re-keyed to their codes.  Each configuration is given the block's
-    charges: its cacheable sizes in byte accounting, 1 each in objects mode.
-    sinks, if given, holds one eviction sink (or None) per configuration.
+    the change log is re-keyed to their codes and, when a sink is attached,
+    they join the id table the evictions are named from; with no sink no id
+    is held.  Each configuration is given the block's charges: its cacheable
+    sizes in byte accounting, 1 each in objects mode.  sinks, if given,
+    holds one eviction sink (or None) per configuration.
     """
     if not configs:
         raise ValueError("need at least one configuration")
@@ -702,15 +703,18 @@ def replay(
         sinks = [None] * len(configs)
     elif len(sinks) != len(configs):
         raise ValueError(f"{len(sinks)} eviction sinks for {len(configs)} configurations")
-    ids: list[str] = []
+    ids: list[str] | None = [] if any(sink is not None for sink in sinks) else None
+    seen = 0  # codes handed out so far: the next block's first new code
     keyed: dict[int, Sequence[float]] = {}  # the change log by code, shared by every engine
     sims = [CacheSim(config, keyed, ids, sink) for config, sink in zip(configs, sinks)]
     for block in blocks:
         if changes:
-            for code, obj in enumerate(block.new_object_ids, len(ids)):
+            for code, obj in enumerate(block.new_object_ids, seen):
                 if obj in changes:
                     keyed[code] = changes[obj]
-        ids += block.new_object_ids
+        seen += len(block.new_object_ids)
+        if ids is not None:
+            ids += block.new_object_ids
         cacheable = np.flatnonzero(block.cacheable)
         objects = block.objects[cacheable].tolist()
         times = block.timestamps[cacheable].tolist()

@@ -158,8 +158,9 @@ class _ZipfSampler:
         self._cdf /= self._cdf[-1]
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        u = rng.random(count)
-        return np.searchsorted(self._cdf, u, side="left") + 1
+        ranks = np.searchsorted(self._cdf, rng.random(count), side="left")
+        ranks += 1
+        return ranks
 
 
 def _object_sizes(rng: np.random.Generator, n: int, mean: float, sigma: float) -> np.ndarray:
@@ -182,22 +183,27 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
     horizon_s = spec.horizon_days * SECONDS_PER_DAY
 
     count = int(rng.poisson(total_rate * spec.horizon_days))
-    times = np.sort(rng.random(count)) * horizon_s
-    client_ids = rng.integers(0, spec.clients, size=count)
+    times = rng.random(count)
+    times.sort()
+    times *= horizon_s
+    client_ids = rng.integers(0, spec.clients, size=count).astype(np.int32)
     cacheable = (
         np.ones(count, dtype=bool)
         if spec.cacheable_fraction >= 1.0
         else rng.random(count) < spec.cacheable_fraction
     )
 
-    n_cacheable = int(cacheable.sum())
-    ranks = np.zeros(count, dtype=np.int64)
-    ranks[cacheable] = _ZipfSampler(n, spec.zipf_alpha).draw(rng, n_cacheable)
-    n_other = count - n_cacheable
+    # One slot table covers both universes: uncacheable rank r sits at slot
+    # other - r and cacheable rank r at other + r - 1, so slot order is the
+    # id order (u<other>..u1, then o1..o<n>) and no whole-trace key or sort
+    # is needed.
     other_universe = max(1, n // 10)
-    if n_other:
-        ranks[~cacheable] = _ZipfSampler(other_universe, spec.zipf_alpha).draw(
-            rng, n_other
+    slots = np.empty(count, dtype=np.int32)
+    n_cacheable = int(cacheable.sum())
+    slots[cacheable] = _ZipfSampler(n, spec.zipf_alpha).draw(rng, n_cacheable) + (other_universe - 1)
+    if n_cacheable < count:
+        slots[~cacheable] = other_universe - _ZipfSampler(other_universe, spec.zipf_alpha).draw(
+            rng, count - n_cacheable
         )
 
     sizes = _object_sizes(rng, n, spec.size_mean_bytes, spec.size_sigma)
@@ -217,18 +223,22 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
             if n_events:
                 changes[obj] = sorted((rng.random(int(n_events)) * horizon_s).tolist())
 
-    # Ids only for ranks that occur: cacheable rank r keys as r, uncacheable
-    # rank r as -r, so one np.unique gives the id table and the codes.
-    keys = np.where(cacheable, ranks, -ranks)
-    occurring, codes = np.unique(keys, return_inverse=True)
-    request_sizes = np.empty(count, dtype=np.int64)
-    request_sizes[cacheable] = sizes[ranks[cacheable] - 1]
-    request_sizes[~cacheable] = other_sizes[ranks[~cacheable] - 1]
+    request_sizes = np.concatenate((other_sizes[::-1], sizes))[slots]
+    # Ids only for slots that occur: a slot's code is the number of occurring
+    # slots below it.
+    present = np.zeros(other_universe + n, dtype=bool)
+    present[slots] = True
+    codes = np.cumsum(present, dtype=np.int32)[slots]
+    codes -= 1
+    occurring = np.flatnonzero(present).tolist()
     records = Trace(
         timestamps=times,
-        objects=codes.astype(np.int32),
-        object_ids=tuple(f"o{k}" if k > 0 else f"u{-k}" for k in occurring.tolist()),
-        clients=client_ids.astype(np.int32),
+        objects=codes,
+        object_ids=tuple(
+            f"u{other_universe - s}" if s < other_universe else f"o{s - other_universe + 1}"
+            for s in occurring
+        ),
+        clients=client_ids,
         client_ids=tuple(f"c{i}" for i in range(spec.clients)),
         sizes=request_sizes,
         cacheable=cacheable,

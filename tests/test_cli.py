@@ -663,6 +663,25 @@ def test_report_rejects_a_field_that_is_not_a_number(tmp_path, capsys, field, va
     )
 
 
+def test_report_rejects_a_negative_p_before_writing_anything(tmp_path, capsys):
+    doc = result_row(5.96, 36.75, 10.78, tu=20.4, teff=18.9, alpha=0.8, alpha_r=0.7, p=-5)
+    bad = write(tmp_path / "bad.json", json.dumps(doc))
+    out_dir = tmp_path / "figs"
+    assert main(["report", bad, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: field 'p' is -5, below 0\n"
+    assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("p", [0, None])
+def test_report_skips_the_renewal_profile_of_a_zero_or_null_p(tmp_path, p):
+    doc = result_row(5.96, 36.75, 10.78, tu=20.4, teff=18.9, alpha=0.8, alpha_r=0.7, p=p)
+    path = write(tmp_path / "r.json", json.dumps(doc))
+    out_dir = tmp_path / "figs"
+    assert main(["report", path, "--out-dir", str(out_dir)]) == 0
+    assert sorted(f.name for f in out_dir.glob("*.csv")) == [
+        "hit_ratio_vs_size.csv", "lifetimes_vs_size.csv",
+    ]
+
 # --- reproducibility and the committed golden ------------------------------------
 
 

@@ -583,6 +583,9 @@ def test_lockstep_replay_equals_per_config_process(case, data):
             )
         assert streamed == expected
         assert logs == expected_logs
+        # With no sink no id table is held; the change log is keyed all the same.
+        with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
+            assert replay(read_blocks(io.StringIO(text.getvalue())), configs, changes) == expected
 
 
 @pytest.mark.parametrize("policy", list(Policy))

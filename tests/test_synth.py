@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -202,3 +205,137 @@ def test_bad_spec_values_rejected():
         small_spec(cacheable_fraction=0.0)
     with pytest.raises(ValueError):
         small_spec(universe_size=0)
+
+
+# --- the generator's output, pinned -----------------------------------------------
+
+GRID_RENEWALS = {
+    "none": NoRenewal(),
+    "two": TwoValuedRenewal(mu_popular=3.0, mu_unpopular=0.5, popular_cutoff=3),
+    "rank": RankDependentRenewal(alpha_r=0.6),
+}
+
+
+def grid_spec(universe, fraction, renewal, per_client_rate=100.0):
+    return SyntheticWorkloadSpec(
+        universe_size=universe,
+        zipf_alpha=0.8,
+        clients=3,
+        per_client_rate=per_client_rate,
+        cacheable_fraction=fraction,
+        renewal=GRID_RENEWALS[renewal],
+        seed=universe,
+    )
+
+
+def output_digest(out):
+    """SHA-256 (first 16 hex digits) over every column's dtype and bytes, both
+    id tables, the change log and the change rates."""
+    digest = hashlib.sha256()
+    t = out.records
+    for column in (t.timestamps, t.objects, t.clients, t.sizes, t.cacheable):
+        digest.update(column.dtype.str.encode())
+        digest.update(column.tobytes())
+    for part in (t.object_ids, t.client_ids, out.changes, out.change_rates):
+        digest.update(repr(part).encode())
+    return digest.hexdigest()[:16]
+
+
+# (universe, cacheable fraction, renewal) -> digest; ~300 requests each.
+GRID_DIGESTS = {
+    (1, 0.05, "none"): "95c564575987f249",
+    (1, 0.05, "two"): "03a94d8beb22f4a8",
+    (1, 0.05, "rank"): "95c564575987f249",
+    (1, 0.85, "none"): "0b790ff6555ea77e",
+    (1, 0.85, "two"): "6c8e3a4549802547",
+    (1, 0.85, "rank"): "0b790ff6555ea77e",
+    (1, 1.0, "none"): "f6f7e944ac364a45",
+    (1, 1.0, "two"): "9eb546eb1f2d6ded",
+    (1, 1.0, "rank"): "f6f7e944ac364a45",
+    (2, 0.05, "none"): "bde94d5dcf588f72",
+    (2, 0.05, "two"): "2528669b13ebe11f",
+    (2, 0.05, "rank"): "f44e86ee273266e6",
+    (2, 0.85, "none"): "ea530fc070cf0660",
+    (2, 0.85, "two"): "30e7cf93dcb8f219",
+    (2, 0.85, "rank"): "a69a08ce76e0ae2c",
+    (2, 1.0, "none"): "a8ac4866da8d7b40",
+    (2, 1.0, "two"): "903bb5489f7e5cec",
+    (2, 1.0, "rank"): "7795d0ac050707fd",
+    (10, 0.05, "none"): "f7cf318772e67660",
+    (10, 0.05, "two"): "52467089b8c3d532",
+    (10, 0.05, "rank"): "7a6583810b9af2af",
+    (10, 0.85, "none"): "41674a562c689bac",
+    (10, 0.85, "two"): "889f3c802b4d0d3d",
+    (10, 0.85, "rank"): "2103c8826b8af9b1",
+    (10, 1.0, "none"): "3bde16758c26fa78",
+    (10, 1.0, "two"): "786199ad10621dc9",
+    (10, 1.0, "rank"): "62a10c31b0c51baf",
+    (11, 0.05, "none"): "5cb81274f459607c",
+    (11, 0.05, "two"): "765fcf877cf6a3c3",
+    (11, 0.05, "rank"): "392222df6c5e85dd",
+    (11, 0.85, "none"): "b97043374fcb0194",
+    (11, 0.85, "two"): "3f8f8cd830bd0d12",
+    (11, 0.85, "rank"): "0c775154c0db5275",
+    (11, 1.0, "none"): "ae708d2b373384f0",
+    (11, 1.0, "two"): "9ff1bdd27f82f389",
+    (11, 1.0, "rank"): "4817cd9b810da3e1",
+    (1000, 0.05, "none"): "70e8250dfc086a45",
+    (1000, 0.05, "two"): "5e53df26ad0b7e67",
+    (1000, 0.05, "rank"): "992cdb26967b797b",
+    (1000, 0.85, "none"): "46c1bfad6789afa7",
+    (1000, 0.85, "two"): "c8423815bb2be598",
+    (1000, 0.85, "rank"): "feb6b2cdf76f191e",
+    (1000, 1.0, "none"): "eee0ea4b77a9dd7e",
+    (1000, 1.0, "two"): "5f916316759e172e",
+    (1000, 1.0, "rank"): "541e9ef8a06012db",
+}
+
+
+@pytest.mark.parametrize("universe,fraction,renewal", list(GRID_DIGESTS))
+def test_generator_output_is_pinned(universe, fraction, renewal):
+    out = generate_synthetic_trace(grid_spec(universe, fraction, renewal))
+    assert output_digest(out) == GRID_DIGESTS[universe, fraction, renewal]
+
+
+def test_generator_output_is_pinned_when_no_request_arrives():
+    out = generate_synthetic_trace(grid_spec(10, 0.85, "two", per_client_rate=1e-6))
+    assert len(out.records) == 0
+    assert out.changes  # the change log is still drawn
+    assert output_digest(out) == "8a8bb6d1f217535c"
+
+
+@pytest.mark.parametrize("universe,fraction,renewal", list(GRID_DIGESTS))
+def test_id_table_is_in_key_order_and_every_code_occurs(universe, fraction, renewal):
+    """Independent of the generator: ids sort by -r for u<r> and +r for o<r>,
+    codes cover the table, and each request's id has its flag's prefix."""
+    t = generate_synthetic_trace(grid_spec(universe, fraction, renewal)).records
+    ids = list(t.object_ids)
+
+    def key(object_id):
+        rank = int(object_id[1:])
+        return -rank if object_id[0] == "u" else rank
+
+    assert ids == sorted(set(ids), key=key)
+    assert np.array_equal(np.unique(t.objects), np.arange(len(ids)))
+    prefixes = np.array([i[0] for i in ids])[t.objects]
+    assert (prefixes == np.where(t.cacheable, "o", "u")).all()
+
+
+def test_generation_peak_memory_per_request():
+    """Temporaries stay small next to the 25 B per request of output columns;
+    numpy reports its buffers to tracemalloc."""
+    spec = SyntheticWorkloadSpec(
+        universe_size=10_000,
+        zipf_alpha=0.8,
+        clients=2,
+        per_client_rate=100_000.0,
+        cacheable_fraction=0.85,
+        seed=1,
+    )
+    tracemalloc.start()
+    try:
+        out = generate_synthetic_trace(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(out.records) <= 48
