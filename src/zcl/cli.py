@@ -463,8 +463,11 @@ def cmd_report(args, manifest) -> int:
             raise InputError(f"{path} holds neither a result object nor a list of them")
         for row in found:
             for field in _REPORT_FIELDS:
-                if type(row.get(field)) not in (int, float, type(None)):  # a JSON true is no number
-                    raise InputError(f"{path}: field {field!r} is {row[field]!r}, not a number")
+                value = row.get(field)
+                if type(value) not in (int, float, type(None)):  # a JSON true is no number
+                    raise InputError(f"{path}: field {field!r} is {value!r}, not a number")
+                if type(value) is float and not math.isfinite(value):  # json reads NaN, Infinity
+                    raise InputError(f"{path}: field {field!r} is {value!r}, not finite")
             if (row.get("p") or 0) < 0:  # a p of 0 or null has no renewal profile
                 raise InputError(f"{path}: field 'p' is {row['p']!r}, below 0")
         rows += found

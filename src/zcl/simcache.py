@@ -9,6 +9,8 @@ Two replacement policies:
   eviction.  A returning object whose statistics survived goes straight
   back into the kernel; that ghost memory is what distinguishes the
   construction from policies that only know the currently resident set.
+  The kernel's victims and the ghosts to drop come from lazy min-heaps, so
+  a kernel hit only updates its object's statistics.
 
 Renewal is modeled through an optional change log: a request for a resident
 object whose content changed since it was last fetched counts as a miss
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -193,12 +195,14 @@ class _Stats:
 
     count is the number of requests since the entry was made, and earlier
     the object's requests before that, kept while it had no entry; so
-    earlier + count is its global request count.
+    earlier + count is its global request count.  tick is the construction
+    engine's clock at the last repeat request, or on becoming a ghost.
     """
 
     __slots__ = (
         "count",
         "earlier",
+        "tick",
         "last_request",
         "last_fetch",
         "resident",
@@ -210,6 +214,7 @@ class _Stats:
     def __init__(self, now: float, charge: int, earlier: int):
         self.count = 1
         self.earlier = earlier
+        self.tick = 0
         self.last_request = now
         self.last_fetch = now
         self.resident = False
@@ -314,7 +319,26 @@ class _LruEngine(_Engine):
 
 
 class _ZipfEngine(_Engine):
-    """Kernel + accessory + managing construction."""
+    """The paper's construction: a kernel, an accessory and a managing part.
+
+    The policy, which tests/naive_construction.py restates with plain scans:
+    - An entry counts its object's requests since it was made; its charge is
+      fixed then.  A request with no entry makes one, in the accessory FIFO.
+    - A request for a resident object is a hit, or a stale miss, refetched in
+      place, if the change log changed it since its fetch.  In the accessory,
+      it promotes the object to the kernel, and the residency goes on.
+    - A request for a ghost, an entry whose object is not resident, refetches
+      it straight into the kernel as a new residency.
+    - The kernel evicts the lowest count, ties by the oldest last request in
+      order of arrival; the accessory evicts its head.  Evicted objects become
+      ghosts.  A newcomer that is the kernel's minimum leaves at once, and
+      that residency (of zero length for a ghost) is logged.
+    - An object bigger than the part it would enter is bypassed: a newcomer
+      or a ghost stays a ghost, and a promoted object is evicted.
+    - After each new entry, while the entries exceed the managing bound, the
+      ghost with the oldest last request is dropped, ties at one timestamp by
+      the order in which they last became ghosts.
+    """
 
     def __init__(
         self,
@@ -330,14 +354,12 @@ class _ZipfEngine(_Engine):
         self.accessory: OrderedDict[Hashable, None] = OrderedDict()
         self.kernel_bytes = 0
         self.accessory_bytes = 0
-        # Kernel objects by request count.  They enter a bucket only at their own
-        # requests, in time order, so each bucket is in last-request order.
-        self._kernel: dict[int, OrderedDict[Hashable, None]] = {}
-        self._kernel_counts: list[int] = []  # sorted counts of non-empty buckets
-        # Lazy min-heap of ghosts, revalidated on pop.  Ghosts enter in eviction
-        # order but leave by last request, so a FIFO queue would drop wrong ones.
+        self._tick = 0  # repeat requests and new ghosts so far
+        # Lazy min-heaps, checked on pop: a (count, tick, obj) per kernel object,
+        # lagging its object's key, never ahead; and a (last_request, tick, obj)
+        # each time an object becomes a ghost, current while its tick is.
+        self._kernel_heap: list[tuple[int, int, Hashable]] = []
         self._ghost_heap: list[tuple[float, int, Hashable]] = []
-        self._seq = 0
         # The managing bound when it does not follow the mean charge: the
         # configured one, or in objects mode 10x the objects that fit.
         self._fixed_bound = config.managing_capacity
@@ -361,15 +383,8 @@ class _ZipfEngine(_Engine):
         return max(100, int(10 * self.capacity / max(mean, 1.0)))
 
     def _push_ghost(self, obj: Hashable, stats: _Stats):
-        self._seq += 1
-        heapq.heappush(self._ghost_heap, (stats.last_request, self._seq, obj))
-
-    def _kernel_add(self, obj: Hashable, count: int):
-        bucket = self._kernel.get(count)
-        if bucket is None:
-            bucket = self._kernel[count] = OrderedDict()
-            insort(self._kernel_counts, count)
-        bucket[obj] = None
+        self._tick = stats.tick = self._tick + 1
+        heapq.heappush(self._ghost_heap, (stats.last_request, stats.tick, obj))
 
     def _end_residency(self, obj: Hashable, stats: _Stats, now: float):
         self._log_eviction(obj, stats, now)
@@ -378,30 +393,28 @@ class _ZipfEngine(_Engine):
         self._push_ghost(obj, stats)
 
     def _evict_kernel_over_capacity(self, now: float):
+        # Keys only grow, so a current entry at the top is the true minimum.
+        heap = self._kernel_heap
         while self.kernel_bytes > self.kernel_capacity:
-            count = self._kernel_counts[0]
-            bucket = self._kernel[count]
-            obj, _ = bucket.popitem(last=False)
-            if not bucket:
-                del self._kernel[count]
-                del self._kernel_counts[0]
+            _, tick, obj = heap[0]
             stats = self.managing[obj]
-            self.kernel_bytes -= stats.charge
-            self._end_residency(obj, stats, now)
+            if stats.tick != tick:  # out of date: back in under its current key
+                heapq.heapreplace(heap, (stats.count, stats.tick, obj))
+            else:
+                heapq.heappop(heap)
+                self.kernel_bytes -= stats.charge
+                self._end_residency(obj, stats, now)
 
     def _insert_kernel(self, obj: Hashable, stats: _Stats, now: float) -> bool:
-        """Place an object (residency fields already set) into the kernel.
-
-        False if it cannot fit even an empty kernel.  An object that is itself
-        the minimum leaves again at once; that zero-length residency is logged.
-        """
+        """Place an object (residency fields already set) into the kernel;
+        False if it cannot fit even an empty kernel, and is not placed."""
         charge = stats.charge
         if charge > self.kernel_capacity:
             return False
         stats.resident = True
         stats.in_kernel = True
         self.kernel_bytes += charge
-        self._kernel_add(obj, stats.count)
+        heapq.heappush(self._kernel_heap, (stats.count, stats.tick, obj))
         self._evict_kernel_over_capacity(now)
         return True
 
@@ -428,9 +441,9 @@ class _ZipfEngine(_Engine):
             return
         bound = self._managing_bound()
         while len(self.managing) > bound and self._ghost_heap:
-            last, _, obj = heapq.heappop(self._ghost_heap)
+            _, tick, obj = heapq.heappop(self._ghost_heap)
             stats = self.managing.get(obj)
-            if stats is None or stats.resident or stats.last_request != last:
+            if stats is None or stats.tick != tick:  # requested since, or dropped
                 continue
             del self.managing[obj]
             self._drop(obj, stats)
@@ -455,34 +468,16 @@ class _ZipfEngine(_Engine):
             self._enforce_managing_bound()
             return _MISS
 
-        count = stats.count = stats.count + 1
+        stats.count += 1
         stats.last_request = now
+        self._tick = stats.tick = self._tick + 1
 
         if stats.resident:
             outcome = _HIT
             if self.changes and not self._fresh(obj, stats.last_fetch, now):
                 stats.last_fetch = now
                 outcome = _STALE_MISS
-            if stats.in_kernel:
-                # Move from the bucket of count - 1 to the end of the bucket of count.
-                kernel = self._kernel
-                old = kernel[count - 1]
-                del old[obj]
-                new = kernel.get(count)
-                if new is None:
-                    new = kernel[count] = OrderedDict()
-                    counts = self._kernel_counts
-                    i = bisect_left(counts, count - 1)
-                    if old:
-                        counts.insert(i + 1, count)
-                    else:
-                        del kernel[count - 1]
-                        counts[i] = count
-                elif not old:
-                    del kernel[count - 1]
-                    del self._kernel_counts[bisect_left(self._kernel_counts, count - 1)]
-                new[obj] = None
-            else:
+            if not stats.in_kernel:
                 # Promotion: a repeat request moves it from accessory to the
                 # kernel; residency_start is kept, so residence spans both parts.
                 del self.accessory[obj]
@@ -521,11 +516,13 @@ class _ZipfEngine(_Engine):
         assert k_bytes == self.kernel_bytes and a_bytes == self.accessory_bytes
         for obj in self.accessory:
             assert self.managing[obj].resident and not self.managing[obj].in_kernel
-        kernel = {o: st.count for o, st in self.managing.items() if st.resident and st.in_kernel}
-        assert all(self._kernel.values()), "empty kernel bucket"
-        assert sum(map(len, self._kernel.values())) == len(kernel), "kernel object in two buckets"
-        assert {o: c for c, b in self._kernel.items() for o in b} == kernel, "kernel buckets"
-        assert self._kernel_counts == sorted(self._kernel), "kernel count list"
+        kernel = {o: (st.count, st.tick) for o, st in self.managing.items() if st.in_kernel}
+        keys = {obj: (count, tick) for count, tick, obj in self._kernel_heap}
+        assert len(keys) == len(self._kernel_heap) and keys.keys() == kernel.keys(), "kernel heap"
+        assert all(keys[o] <= key for o, key in kernel.items()), "kernel entry ahead"
+        m = self.managing
+        current = {o for _, tick, o in self._ghost_heap if o in m and m[o].tick == tick}
+        assert current == {o for o, st in m.items() if not st.resident}, "ghost entries"
         # Admissions skip the bound while the managing part is within the floor.
         assert self._managing_floor <= self._managing_bound(), "managing floor above the bound"
 

@@ -672,6 +672,20 @@ def test_report_rejects_a_negative_p_before_writing_anything(tmp_path, capsys):
     assert not list(out_dir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("text, field, value", [
+    ('{"alpha": 0.8, "alpha_R": 0.7, "p": NaN}', "p", "nan"),
+    ('{"H_pct": Infinity, "S_eff_over_nu_int_days": 1.0}', "H_pct", "inf"),
+    ('[{"H_pct": 30.0, "S_eff_over_nu_int_days": -Infinity}]', "S_eff_over_nu_int_days", "-inf"),
+], ids=["p-nan", "H_pct-inf", "S_eff-minus-inf"])
+def test_report_rejects_a_non_finite_field_before_writing_anything(tmp_path, capsys, text, field,
+                                                                   value):
+    bad = write(tmp_path / "bad.json", text)
+    out_dir = tmp_path / "figs"
+    assert main(["report", bad, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: field {field!r} is {value}, not finite\n"
+    assert not list(out_dir.glob("*.csv"))
+
+
 @pytest.mark.parametrize("p", [0, None])
 def test_report_skips_the_renewal_profile_of_a_zero_or_null_p(tmp_path, p):
     doc = result_row(5.96, 36.75, 10.78, tu=20.4, teff=18.9, alpha=0.8, alpha_r=0.7, p=p)
@@ -995,12 +1009,12 @@ EVICTION_CONFIGS = {
 }
 EVICTION_DIGESTS = {
     "zc_objects_managed": (
-        "82cb181896c9908d697388453c945fa8bb7329a81ed43919a2f2b76eefe51bb0",
+        "6d5465c05ca77d97d8b22ab2d787e4e9a2b9407a5c0f4a6c630dda5fb5de7596",
         "c3ba5cadf28f269be89c763d094a4c35cd053044ba21edbab38a261d80451014",
     ),
     "zc_bytes": (
-        "466c09ecfb2bc9f2c52eb38587e747df9a096eaa4dc3197bc74095bc5346d734",
-        "9d6a4c38ac1284182af9f8008871a6826b64dd3186054ca97c380b5f17bca2fb",
+        "afa675efff6529733074149c7bd2e7bbc65af8952e8b7be16ca850380e33ff8a",
+        "a77d41cc4abefc049c8c0fde1a95b330cbeb4112e66ec65849e812f3e46f9251",
     ),
     "lru_bytes": (
         "c398787995fa42c50d7d61df9feeac3cbce3f580f6f8f71b2538cf46181b3533",

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_construction import NaiveConstruction
 
 from zcl import model
 from zcl import simcache as simcache_module
@@ -250,14 +251,21 @@ def test_kernel_eviction_prefers_low_count_then_stale_recency():
     sim.check_invariants()
 
 
-def test_kernel_ties_leave_in_order_of_reaching_the_count():
-    # Kernel of 2, every request at one timestamp.  B is admitted before A,
-    # but A reaches count 2 first, so A is the first count-2 victim.
+@pytest.mark.parametrize("objects, evicted", [
+    # B is admitted before A, but A reaches count 2 first, so A is the first
+    # count-2 victim.
+    ("BAABCCDD", [("A", 2), ("B", 2)]),
+    # D is promoted at count 2, the minimum, and leaves at once.  It returns
+    # at count 3, and B, which reached count 3 before A, leaves.
+    ("AABBBADDD", [("D", 2), ("B", 3)]),
+])
+def test_kernel_ties_leave_in_order_of_reaching_the_count(objects, evicted):
+    # Kernel of 2, every request at one timestamp.
     sim, log = logged_sim(objects_config(6, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.34))
-    for obj in ["B", "A", "A", "B", "C", "C", "D", "D"]:
+    for obj in objects:
         sim.process(rec(7, obj))
         sim.check_invariants()
-    assert [e.object_id for e in log] == ["A", "B"]
+    assert [(e.object_id, e.count) for e in log] == evicted
 
 
 def test_managing_never_drops_resident_entries():
@@ -273,17 +281,22 @@ def test_managing_never_drops_resident_entries():
     sim.check_invariants()
 
 
-def test_managing_drops_oldest_last_request_first():
+@pytest.mark.parametrize("bound, requests, kept", [
     # Accessory of 2 turns A then B into ghosts (last requests t=1 and t=2);
     # the next admission overflows a bound of 3 and must drop A, not B.
-    config = objects_config(3, Policy.ZIPF_CONSTRUCTION, managing_capacity=3)
-    sim = CacheSim(config)
-    for t, obj in [(1, "A"), (2, "B"), (3, "C"), (4, "D")]:
+    (3, [(1, "A"), (2, "B"), (3, "C"), (4, "D")], "BCD"),
+    # Every request at one timestamp.  C evicts A from the accessory and A
+    # returns to the kernel; D evicts B, then C's promotion evicts A again.
+    # At E's entry, the fifth, both ghosts were last requested at 7, and B
+    # became a ghost before A last did: B is dropped.
+    (4, [(7, obj) for obj in "ABCADCE"], "ACDE"),
+])
+def test_managing_drops_oldest_last_request_first(bound, requests, kept):
+    sim = CacheSim(objects_config(3, Policy.ZIPF_CONSTRUCTION, managing_capacity=bound))
+    for t, obj in requests:
         sim.process(rec(t, obj))
-    ghosts = {o for o, s in sim._engine.managing.items() if not s.resident}
-    assert ghosts == {"B"}  # A (older last request) was dropped at D's admission
-    assert "A" not in sim._engine.managing
-    sim.check_invariants()
+        sim.check_invariants()
+    assert "".join(sorted(sim._engine.managing)) == kept
 
 
 def test_objects_mode_managing_bound_is_ten_times_capacity_without_floor():
@@ -586,6 +599,57 @@ def test_lockstep_replay_equals_per_config_process(case, data):
         # With no sink no id table is held; the change log is keyed all the same.
         with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
             assert replay(read_blocks(io.StringIO(text.getvalue())), configs, changes) == expected
+
+
+@st.composite
+def construction_cases(draw):
+    """Up to 200 requests over up to 30 objects, many at tied timestamps, with
+    sizes up to above either part's capacity, a construction configuration in
+    either accounting mode with a managing bound that is often small, and a
+    change log or none."""
+    n_objects = draw(st.integers(min_value=1, max_value=30))
+    byte_accounting = draw(st.booleans())
+    gaps = [0.0, 0.0, 1.0, 7.5]
+    # One draw per request (draws dominate the run time): the gap since the
+    # last request, an object, a size from 1 to 80, and 1 in 10 uncacheable.
+    codes = st.integers(min_value=0, max_value=len(gaps) * n_objects * 80 * 10 - 1)
+    records, t = [], 0.0
+    n = draw(st.integers(min_value=0, max_value=200))
+    for code in draw(st.lists(codes, min_size=n, max_size=n)):
+        code, gap = divmod(code, len(gaps))
+        code, obj = divmod(code, n_objects)
+        tenth, size = divmod(code, 80)
+        t += gaps[gap]
+        records.append(TraceRecord(t, "c0", f"o{obj}", size + 1, tenth != 9))
+    times = st.sampled_from([r.timestamp for r in records]) if records else st.just(0.0)
+    changes = draw(st.none() | st.dictionaries(
+        st.sampled_from([f"o{i}" for i in range(n_objects)]),
+        st.lists(times | st.floats(min_value=0.0, max_value=t + 1.0), max_size=4).map(sorted),
+    ))
+    config = CacheConfig(
+        capacity_bytes=draw(st.integers(min_value=1, max_value=60 if byte_accounting else 12)),
+        policy=Policy.ZIPF_CONSTRUCTION,
+        kernel_fraction=draw(st.sampled_from([0.2, 1 / 3, 0.5, 0.8])),
+        managing_capacity=draw(st.sampled_from([None, 1, 2, 3, 5, 8])),
+        byte_accounting=byte_accounting,
+    )
+    return records, changes, config
+
+
+@given(case=construction_cases())
+@settings(max_examples=400, deadline=None)
+def test_construction_equals_the_naive_reference(case):
+    """CacheSim.process against tests/naive_construction.py, event for event:
+    the outcome, the evictions so far and the bypass count."""
+    records, changes, config = case
+    sim, log = logged_sim(config, changes)
+    naive = NaiveConstruction(config, changes)
+    for r in records:
+        assert sim.process(r) == naive.process(r)
+        assert len(log) == len(naive.evictions)  # so far; the evictions are compared below
+        assert sim._engine.bypassed == naive.bypassed
+        sim.check_invariants()
+    assert log == naive.evictions
 
 
 @pytest.mark.parametrize("policy", list(Policy))
