@@ -270,9 +270,18 @@ class LifetimeSample:
 class LifetimeStats:
     """Replay-measured residence times.
 
-    t_u covers objects evicted after exactly one request of their residency,
-    t_eff objects evicted after exactly two.  Objects still resident at the
-    end of the stream are censored and contribute nothing.
+    Evictions are classed by their count, the requests since the cache last
+    made the object's entry: t_u covers evictions of count 1, t_eff those of
+    count 2.  Under LRU an entry lives for one residency, so the count is the
+    requests of that residency.  Under the construction the entry lives in
+    the managing part across residencies, and its count is the kernel's
+    ordering key, so count 1 is exactly an accessory residency: t_u is the
+    accessory's residence time, and t_eff the stay of objects that reached
+    the kernel on their second request, a ghost's return included.  A
+    count taken at the start of each residency instead would class a
+    returning ghost's kernel stay as once-requested, though the kernel holds
+    it as requested twice.  Objects still resident at the end of the stream
+    are censored and contribute nothing.
     """
 
     t_u: LifetimeSample
@@ -293,9 +302,10 @@ class LifetimeFold:
     """Residence times of a stream of evictions, folded one eviction at a time.
 
     add(eviction) is an eviction sink for the simulator.  It keeps only the
-    durations, in days, of the evictions whose count is 1 (t_u) or 2
-    (t_eff), as float64 arrays, so stats() gives the same bits as grouping
-    a whole eviction list.
+    durations, in days, of the evictions whose count, the requests since the
+    object's entry was made, is 1 (t_u) or 2 (t_eff); see LifetimeStats.
+    They are float64 arrays, so stats() gives the same bits as grouping a
+    whole eviction list.
     """
 
     def __init__(self):

@@ -448,6 +448,8 @@ def cmd_report(args, manifest) -> int:
         os.makedirs(args.out_dir, exist_ok=True)  # holds the manifest even if the run fails
     except OSError as exc:
         raise InputError(f"cannot write {args.out_dir}: {exc}")
+    if not 0.0 < args.alpha < 1.0:  # hit_scaling's check, before any CSV is opened
+        raise InputError(f"--alpha must lie in (0, 1), got {args.alpha}")
     rows = []
     for path in args.results:
         try:
@@ -470,6 +472,9 @@ def cmd_report(args, manifest) -> int:
                     raise InputError(f"{path}: field {field!r} is {value!r}, not finite")
             if (row.get("p") or 0) < 0:  # a p of 0 or null has no renewal profile
                 raise InputError(f"{path}: field 'p' is {row['p']!r}, below 0")
+            size = row.get("S_eff_over_nu_int_days")
+            if size is not None and size <= 0:  # hit_scaling divides by the anchor's
+                raise InputError(f"{path}: field 'S_eff_over_nu_int_days' is {size!r}, not above 0")
         rows += found
     if not rows:
         raise InputError("empty result set")

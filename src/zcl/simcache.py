@@ -128,7 +128,7 @@ class Eviction(NamedTuple):
     object_id: str
     insert_ts: float
     evict_ts: float
-    count: int  # the object's cumulative request count at eviction time
+    count: int  # requests since the cache last made the object's entry
 
     @property
     def duration_days(self) -> float:
@@ -191,34 +191,32 @@ class SimulationResult:
 
 
 class _Stats:
-    """Managing-part entry: per-object statistics that outlive residency.
+    """A cache entry: per-object statistics, which in the construction's
+    managing part outlive residency.
 
-    count is the number of requests since the entry was made, and earlier
-    the object's requests before that, kept while it had no entry; so
-    earlier + count is its global request count.  tick is the construction
-    engine's clock at the last repeat request, or on becoming a ghost.
+    count is the number of requests since the entry was made; an object
+    whose entry is gone starts again from 1.  Under LRU an entry lives for
+    one residency; under the construction it lives until the managing part
+    drops it.  tick is the construction engine's clock at the last repeat
+    request, or on becoming a ghost.
     """
 
     __slots__ = (
         "count",
-        "earlier",
         "tick",
         "last_request",
         "last_fetch",
         "resident",
-        "in_kernel",
         "charge",
         "residency_start",
     )
 
-    def __init__(self, now: float, charge: int, earlier: int):
+    def __init__(self, now: float, charge: int):
         self.count = 1
-        self.earlier = earlier
         self.tick = 0
         self.last_request = now
         self.last_fetch = now
         self.resident = False
-        self.in_kernel = False
         self.charge = charge
         self.residency_start = now
 
@@ -227,8 +225,8 @@ EvictionSink = Callable[[Eviction], object]
 
 
 class _Engine:
-    """What both policies share: request counts of dropped entries, freshness,
-    the bypass count and the eviction count.
+    """What both policies share: freshness, the bypass count and the eviction
+    count.
 
     access(obj, now, charge) applies one cacheable request that takes charge
     units of capacity and returns _HIT, _STALE_MISS or _MISS.  Each eviction
@@ -248,9 +246,6 @@ class _Engine:
         self.changes = changes  # empty when there is no change log
         self.ids = ids
         self.sink = sink
-        # Global request counts of objects whose entry was dropped; a new
-        # entry takes its object's count from here.
-        self._dropped: dict[Hashable, int] = {}
         self.evictions = 0
         self.bypassed = 0
 
@@ -262,17 +257,11 @@ class _Engine:
         i = bisect_right(times, now)
         return i == 0 or times[i - 1] <= last_fetch
 
-    def _new_entry(self, obj: Hashable, now: float, charge: int) -> _Stats:
-        return _Stats(now, charge, self._dropped.pop(obj, 0))
-
-    def _drop(self, obj: Hashable, stats: _Stats):
-        self._dropped[obj] = stats.earlier + stats.count
-
     def _log_eviction(self, obj: Hashable, stats: _Stats, now: float):
         self.evictions += 1
         if self.sink is not None:
             object_id = obj if self.ids is None else self.ids[obj]
-            self.sink(Eviction(object_id, stats.residency_start, now, stats.earlier + stats.count))
+            self.sink(Eviction(object_id, stats.residency_start, now, stats.count))
 
 
 class _LruEngine(_Engine):
@@ -296,18 +285,15 @@ class _LruEngine(_Engine):
                 entry.last_fetch = now
                 return _STALE_MISS
             return _HIT
-        entry = self._new_entry(obj, now, charge)
         if charge > self.capacity:
             self.bypassed += 1
-            self._drop(obj, entry)
             return _MISS
-        self.entries[obj] = entry
+        self.entries[obj] = _Stats(now, charge)
         self.used += charge
         while self.used > self.capacity:
             victim_id, victim = self.entries.popitem(last=False)
             self.used -= victim.charge
             self._log_eviction(victim_id, victim, now)
-            self._drop(victim_id, victim)
         return _MISS
 
     def occupancy(self, now: float) -> OccupancySample:
@@ -389,7 +375,6 @@ class _ZipfEngine(_Engine):
     def _end_residency(self, obj: Hashable, stats: _Stats, now: float):
         self._log_eviction(obj, stats, now)
         stats.resident = False
-        stats.in_kernel = False
         self._push_ghost(obj, stats)
 
     def _evict_kernel_over_capacity(self, now: float):
@@ -412,7 +397,6 @@ class _ZipfEngine(_Engine):
         if charge > self.kernel_capacity:
             return False
         stats.resident = True
-        stats.in_kernel = True
         self.kernel_bytes += charge
         heapq.heappush(self._kernel_heap, (stats.count, stats.tick, obj))
         self._evict_kernel_over_capacity(now)
@@ -423,7 +407,6 @@ class _ZipfEngine(_Engine):
         if charge > self.accessory_capacity:
             return False
         stats.resident = True
-        stats.in_kernel = False
         stats.residency_start = now
         self.accessory[obj] = None
         self.accessory_bytes += charge
@@ -446,7 +429,6 @@ class _ZipfEngine(_Engine):
             if stats is None or stats.tick != tick:  # requested since, or dropped
                 continue
             del self.managing[obj]
-            self._drop(obj, stats)
         # All remaining entries may be resident; those are never dropped.
 
     def access(self, obj: Hashable, now: float, charge: int) -> int:
@@ -455,8 +437,7 @@ class _ZipfEngine(_Engine):
         if stats is None:
             # Admission: first request ever seen for this object, or the
             # first since its entry was dropped.
-            stats = self._new_entry(obj, now, charge)
-            self.managing[obj] = stats
+            stats = self.managing[obj] = _Stats(now, charge)
             self._charge_sum += charge
             self._charge_n += 1
             if charge > self._largest_charge:
@@ -477,7 +458,7 @@ class _ZipfEngine(_Engine):
             if self.changes and not self._fresh(obj, stats.last_fetch, now):
                 stats.last_fetch = now
                 outcome = _STALE_MISS
-            if not stats.in_kernel:
+            if stats.count == 2:  # it held 1, so it is in the accessory
                 # Promotion: a repeat request moves it from accessory to the
                 # kernel; residency_start is kept, so residence spans both parts.
                 del self.accessory[obj]
@@ -503,20 +484,19 @@ class _ZipfEngine(_Engine):
         assert self.kernel_bytes <= self.kernel_capacity, "kernel over capacity"
         assert self.accessory_bytes <= self.accessory_capacity, "accessory over capacity"
         k_bytes = a_bytes = 0
+        kernel = {}  # resident objects outside the accessory
         for obj, stats in self.managing.items():
             if not stats.resident:
                 continue
-            if stats.in_kernel:
-                assert stats.count >= 2, f"kernel object {obj} with count {stats.count}"
-                k_bytes += stats.charge
-            else:
-                assert obj in self.accessory
+            if obj in self.accessory:
                 assert stats.count == 1, f"accessory object {obj} with count {stats.count}"
                 a_bytes += stats.charge
+            else:
+                assert stats.count >= 2, f"kernel object {obj} with count {stats.count}"
+                k_bytes += stats.charge
+                kernel[obj] = (stats.count, stats.tick)
         assert k_bytes == self.kernel_bytes and a_bytes == self.accessory_bytes
-        for obj in self.accessory:
-            assert self.managing[obj].resident and not self.managing[obj].in_kernel
-        kernel = {o: (st.count, st.tick) for o, st in self.managing.items() if st.in_kernel}
+        assert all(self.managing[obj].resident for obj in self.accessory)
         keys = {obj: (count, tick) for count, tick, obj in self._kernel_heap}
         assert len(keys) == len(self._kernel_heap) and keys.keys() == kernel.keys(), "kernel heap"
         assert all(keys[o] <= key for o, key in kernel.items()), "kernel entry ahead"

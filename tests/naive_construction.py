@@ -13,9 +13,8 @@ KERNEL, ACCESSORY, GHOST = "kernel", "accessory", "ghost"
 
 
 class _Entry:
-    def __init__(self, charge, earlier):
+    def __init__(self, charge):
         self.count = 1  # requests since the entry was made
-        self.earlier = earlier  # requests before that
         self.charge = charge  # fixed when the entry is made
         self.part = GHOST
         self.start = self.fetched = self.last_time = None  # timestamps
@@ -29,10 +28,10 @@ class NaiveConstruction:
         self.capacities = {KERNEL: kernel, ACCESSORY: config.capacity_bytes - kernel}
         self.changes = changes or {}
         self.entries = {}
-        self.dropped = {}  # global request counts of objects whose entry was dropped
         self.admitted = []  # the charge of every entry made
         self.clock = 0
         self.evictions = []
+        self.evicted_from = []  # the part of each eviction; a failed promotion's is the kernel
         self.bypassed = 0
 
     def tick(self):
@@ -51,9 +50,10 @@ class NaiveConstruction:
     def members(self, part):
         return [o for o, e in self.entries.items() if e.part == part]
 
-    def evict(self, obj, now):
+    def evict(self, obj, part, now):
         e = self.entries[obj]
-        self.evictions.append(Eviction(obj, e.start, now, e.earlier + e.count))
+        self.evictions.append(Eviction(obj, e.start, now, e.count))
+        self.evicted_from.append(part)
         self.to_ghost(e)
 
     def to_ghost(self, e):
@@ -68,12 +68,12 @@ class NaiveConstruction:
             if e.part == GHOST:
                 self.to_ghost(e)
             else:  # a promotion ends the residency
-                self.evict(obj, now)
+                self.evict(obj, part, now)
             return
         e.part = part
         e.placed = self.tick()
         while sum(self.entries[o].charge for o in self.members(part)) > self.capacities[part]:
-            self.evict(min(self.members(part), key=lambda o: self.order(part, o)), now)
+            self.evict(min(self.members(part), key=lambda o: self.order(part, o)), part, now)
 
     def order(self, part, obj):
         """Victim order: the accessory is first in, first out; the kernel takes
@@ -86,8 +86,7 @@ class NaiveConstruction:
         while len(self.entries) > bound and self.members(GHOST):
             victim = min(self.members(GHOST), key=lambda o: (self.entries[o].last_time,
                                                              self.entries[o].placed))
-            e = self.entries.pop(victim)
-            self.dropped[victim] = e.earlier + e.count
+            del self.entries[victim]
 
     def changed(self, obj, fetched, now):
         return any(fetched < t <= now for t in self.changes.get(obj, ()))
@@ -99,7 +98,7 @@ class NaiveConstruction:
         charge = rec.size_bytes if self.config.byte_accounting else 1
         e = self.entries.get(obj)
         if e is None:
-            e = self.entries[obj] = _Entry(charge, self.dropped.pop(obj, 0))
+            e = self.entries[obj] = _Entry(charge)
             e.start = e.fetched = e.last_time = now
             e.last_request = self.tick()
             self.admitted.append(charge)

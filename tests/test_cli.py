@@ -686,6 +686,24 @@ def test_report_rejects_a_non_finite_field_before_writing_anything(tmp_path, cap
     assert not list(out_dir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("size, alpha, message", [
+    (5.96, "1.5", "--alpha must lie in (0, 1), got 1.5"),
+    (5.96, "0", "--alpha must lie in (0, 1), got 0.0"),
+    (0, "0.77", "{bad}: field 'S_eff_over_nu_int_days' is 0, not above 0"),
+    (-2.5, "0.77", "{bad}: field 'S_eff_over_nu_int_days' is -2.5, not above 0"),
+], ids=["alpha-1.5", "alpha-0", "size-0", "size-negative"])
+def test_report_rejects_an_unusable_alpha_or_size_before_writing_anything(tmp_path, capsys, size,
+                                                                          alpha, message):
+    good = result_row(1.0, 24.49, 9.13, tu=2.2, teff=3.8)
+    bad = write(tmp_path / "bad.json", json.dumps([good, {**good, "S_eff_over_nu_int_days": size}]))
+    out_dir = tmp_path / "figs"
+    assert main(["report", bad, "--alpha", alpha, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(bad=bad) + "\n"
+    assert not list(out_dir.glob("*.csv"))
+    manifest = json.loads((out_dir / "report.manifest.json").read_text())
+    assert (manifest["status"], manifest["outputs"]) == ("incomplete", [])
+
+
 @pytest.mark.parametrize("p", [0, None])
 def test_report_skips_the_renewal_profile_of_a_zero_or_null_p(tmp_path, p):
     doc = result_row(5.96, 36.75, 10.78, tu=20.4, teff=18.9, alpha=0.8, alpha_r=0.7, p=p)
@@ -1009,15 +1027,15 @@ EVICTION_CONFIGS = {
 }
 EVICTION_DIGESTS = {
     "zc_objects_managed": (
-        "6d5465c05ca77d97d8b22ab2d787e4e9a2b9407a5c0f4a6c630dda5fb5de7596",
+        "b755e3c287e6dae3c1daf64ca3f7aa88c897b956c14fa04f19890e1aae8abb1d",
         "c3ba5cadf28f269be89c763d094a4c35cd053044ba21edbab38a261d80451014",
     ),
     "zc_bytes": (
-        "afa675efff6529733074149c7bd2e7bbc65af8952e8b7be16ca850380e33ff8a",
+        "a4cdc7ab833776a5bee42040a85a42ee793b8b156dec4e76cdc53e120ddb8b06",
         "a77d41cc4abefc049c8c0fde1a95b330cbeb4112e66ec65849e812f3e46f9251",
     ),
     "lru_bytes": (
-        "c398787995fa42c50d7d61df9feeac3cbce3f580f6f8f71b2538cf46181b3533",
+        "5b29b3f02dec26124c03e274357cf375ae1022e8fe7a4bd6d173ccb01e411f17",
         "ba7276d734d711716f4a2718f94b40baebe8ff3766baa1d7853751dfa3633253",
     ),
 }
@@ -1064,7 +1082,7 @@ ANALYZE_DIGESTS = {
         "b5f8e06516399e47e754a3ae59952ea4228421ef5678b096ca09035abbf7c35a",
     ),
     "synth": (
-        "53ded396eb951c99351f9fa73ab663d4c2f1481aa6a6a788bda87ad5eb59b7dd",
+        "30a3a6bee9d4d8a5883e26b8444861f4013f48d0e644aa12a95421fa9f5b54ad",
         "e4bcc4612ea6acfd57b85afc536cb4acfa632eed978d2a7f12c4adbe4ff57ddf",
     ),
 }

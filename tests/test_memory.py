@@ -1,0 +1,94 @@
+"""Memory that grows with the number of objects, not with the trace length.
+
+Each case streams N and then 3N requests of one synth spec with a fixed
+universe through read_blocks, in blocks of 4,096 rows, and compares the
+tracemalloc peaks.  By N requests nearly every object has been seen, so a
+peak that still grows with the trace is per-request state.  At the default
+65,536 rows the block parse dominates the peak and moves with the block
+layout, hence the small blocks.
+
+Left out: the construction whose managing bound is never reached, whose
+lazy ghost heap gains an entry per eviction and still grows with the trace
+(1.59x from N to 3N at a universe of 1,000 and 100 objects of capacity);
+and analytics.LifetimeFold, which keeps 8 B per count-1 or count-2
+eviction by design, so that the lifetime means keep their bits.
+"""
+
+import io
+import tracemalloc
+from unittest import mock
+
+import pytest
+
+from zcl import trace as trace_module
+from zcl.analytics import ProfileFold
+from zcl.simcache import CacheConfig, Policy, replay
+from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
+from zcl.trace import read_blocks, write_canonical_csv
+
+UNIVERSE = 2_000
+N = 10_000
+FLOOR = 64 * 1024  # bytes: objects first seen after N, and allocator noise
+
+CONSTRUCTION_OBJECTS = 100  # a managing bound of 1,000 entries, half the universe
+
+
+@pytest.fixture(scope="module")
+def csv_texts():
+    """The canonical CSV of N and of 3N requests, and the records of the first."""
+    out = {}
+    for n in (N, 3 * N):
+        spec = SyntheticWorkloadSpec(
+            universe_size=UNIVERSE,
+            zipf_alpha=0.8,
+            clients=1,
+            per_client_rate=float(n),
+            cacheable_fraction=0.85,
+            seed=5,
+        )
+        records = generate_synthetic_trace(spec).records
+        text = io.StringIO()
+        write_canonical_csv(records, text)
+        out[n] = (text.getvalue(), records)
+    return out
+
+
+def replay_one(config):
+    return lambda f: replay(read_blocks(f), [config])
+
+
+def fold_profile(f):
+    fold = ProfileFold()
+    for block in read_blocks(f):
+        fold.add(block)
+    return fold.profile()
+
+
+CASES = {
+    "lru-bytes": replay_one(CacheConfig(2_000_000)),
+    "lru-objects": replay_one(CacheConfig(200, byte_accounting=False)),
+    "construction-bound-reached": replay_one(
+        CacheConfig(CONSTRUCTION_OBJECTS, Policy.ZIPF_CONSTRUCTION, byte_accounting=False)
+    ),
+    "profile-fold": fold_profile,
+}
+
+
+def peak(run, text):
+    f = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        run(f)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_peak_memory_does_not_grow_with_the_trace(csv_texts, monkeypatch, case):
+    # The bound (10x capacity in objects mode) is reached within the first N.
+    text, records = csv_texts[N]
+    assert len(set(records.objects[records.cacheable].tolist())) > 10 * CONSTRUCTION_OBJECTS
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 4096)
+    short, long = (peak(CASES[case], csv_texts[n][0]) for n in (N, 3 * N))
+    assert long <= 1.1 * short + FLOOR, f"{short} B at {N} requests, {long} B at {3 * N}"

@@ -6,11 +6,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from naive_construction import NaiveConstruction
+from naive_construction import ACCESSORY, NaiveConstruction
 
 from zcl import model
 from zcl import simcache as simcache_module
 from zcl import trace as trace_module
+from zcl.analytics import LifetimeFold
 from zcl.simcache import (
     HIT,
     MISS,
@@ -85,7 +86,9 @@ def test_capacity_one_alternating_never_hits():
 
 # Twenty requests through a 3-object LRU, executed by hand:
 #   seq:  A B C A D B E A C D B A E C B D A C E B   (t = 1..20)
-# Only t=4 hits; every other request misses and evicts the LRU victim.
+# Only t=4 hits; every other request misses and evicts the LRU victim.  An
+# eviction's count is the requests of its residency: 2 for A's first, whose
+# t=4 hit it holds, and 1 for every other.
 HAND_TRACE = "ABCADBEACDBAECBDACEB"
 HAND_OUTCOMES = [MISS] * 3 + [HIT] + [MISS] * 16
 HAND_EVICTIONS = [
@@ -93,18 +96,18 @@ HAND_EVICTIONS = [
     ("C", 3, 6, 1),
     ("A", 1, 7, 2),
     ("D", 5, 8, 1),
-    ("B", 6, 9, 2),
+    ("B", 6, 9, 1),
     ("E", 7, 10, 1),
-    ("A", 8, 11, 3),
-    ("C", 9, 12, 2),
-    ("D", 10, 13, 2),
-    ("B", 11, 14, 3),
-    ("A", 12, 15, 4),
-    ("E", 13, 16, 2),
-    ("C", 14, 17, 3),
-    ("B", 15, 18, 4),
-    ("D", 16, 19, 3),
-    ("A", 17, 20, 5),
+    ("A", 8, 11, 1),
+    ("C", 9, 12, 1),
+    ("D", 10, 13, 1),
+    ("B", 11, 14, 1),
+    ("A", 12, 15, 1),
+    ("E", 13, 16, 1),
+    ("C", 14, 17, 1),
+    ("B", 15, 18, 1),
+    ("D", 16, 19, 1),
+    ("A", 17, 20, 1),
 ]
 
 
@@ -117,6 +120,21 @@ def test_lru_hand_oracle_event_for_event():
     assert result.evictions == len(HAND_EVICTIONS)
     got = [(e.object_id, e.insert_ts, e.evict_ts, e.count) for e in log]
     assert got == [(o, float(i), float(e), c) for o, i, e, c in HAND_EVICTIONS]
+
+
+def test_lru_eviction_counts_the_requests_of_its_residency():
+    # Capacity 1 on a,b,a,b: each residency holds one request, so every
+    # eviction, a's second included, has count 1 and its residence falls in t_u.
+    sim, log = logged_sim(objects_config(1))
+    for t, obj in [(0, "a"), (1, "b"), (3, "a"), (7, "b")]:
+        sim.process(rec(t * DAY, obj))
+    assert [(e.object_id, e.count) for e in log] == [("a", 1), ("b", 1), ("a", 1)]
+    fold = LifetimeFold()
+    for eviction in log:
+        fold.add(eviction)
+    stats = fold.stats()
+    assert (stats.t_u.count, stats.t_u.mean_days) == (3, 7 / 3)
+    assert stats.t_eff.count == 0
 
 
 def test_unordered_records_rejected():
@@ -200,12 +218,17 @@ def test_lru_stack_property_uniform_sizes():
 # --- segmented construction -------------------------------------------------------
 
 
+def kernel_members(sim):
+    """The construction's kernel: its resident objects outside the accessory."""
+    engine = sim._engine
+    return {o for o, s in engine.managing.items() if s.resident and o not in engine.accessory}
+
+
 def test_repeat_request_promotes_to_kernel():
     sim = CacheSim(objects_config(6, Policy.ZIPF_CONSTRUCTION))
     assert sim.process(rec(1, "A")) == MISS
     assert sim.process(rec(2, "A")) == HIT
-    stats = sim._engine.managing["A"]
-    assert stats.resident and stats.in_kernel and stats.count == 2
+    assert kernel_members(sim) == {"A"} and sim._engine.managing["A"].count == 2
     sim.check_invariants()
 
 
@@ -218,8 +241,7 @@ def test_ghost_returns_straight_into_kernel():
     assert sim.process(rec(3, "C")) == MISS  # evicts A (FIFO)
     assert [(e.object_id, e.count) for e in log] == [("A", 1)]
     assert sim.process(rec(4, "A")) == MISS  # ghost: refetch into kernel
-    stats = sim._engine.managing["A"]
-    assert stats.resident and stats.in_kernel and stats.count == 2
+    assert kernel_members(sim) == {"A"} and sim._engine.managing["A"].count == 2
     assert sim.process(rec(5, "A")) == HIT
     sim.check_invariants()
 
@@ -243,10 +265,7 @@ def test_kernel_eviction_prefers_low_count_then_stale_recency():
     sim.process(rec(next(t), "A"))  # A now count 3, B stays count 2
     for obj in ["C", "C"]:  # C promoted; kernel overflows
         sim.process(rec(next(t), obj))
-    kernel_members = {
-        o for o, s in sim._engine.managing.items() if s.resident and s.in_kernel
-    }
-    assert kernel_members == {"A", "C"}  # B had the minimum count
+    assert kernel_members(sim) == {"A", "C"}  # B had the minimum count
     assert [e.object_id for e in log] == ["B"]
     sim.check_invariants()
 
@@ -310,15 +329,21 @@ def test_objects_mode_managing_bound_is_ten_times_capacity_without_floor():
 
 
 def test_forgotten_ghost_readmitted_as_new():
+    # Kernel of 0 objects, accessory of 2.
     config = objects_config(2, Policy.ZIPF_CONSTRUCTION, managing_capacity=1)
-    sim = CacheSim(config)
+    sim, log = logged_sim(config)
     sim.process(rec(1, "A"))
-    sim.process(rec(2, "B"))  # accessory evicts A; managing bound drops its ghost
-    sim.process(rec(3, "C"))
+    sim.process(rec(2, "B"))
+    sim.process(rec(3, "C"))  # accessory evicts A; managing bound drops its ghost
     assert "A" not in sim._engine.managing
     sim.process(rec(4, "A"))  # comes back as if never seen
     stats = sim._engine.managing["A"]
-    assert stats.count == 1 and not stats.in_kernel
+    assert stats.count == 1 and "A" in sim._engine.accessory
+    sim.process(rec(5, "D"))
+    sim.process(rec(6, "E"))  # the re-made entry leaves the accessory
+    assert [(e.object_id, e.insert_ts, e.count) for e in log if e.object_id == "A"] == [
+        ("A", 1.0, 1), ("A", 4.0, 1),
+    ]
 
 
 def test_zero_length_kernel_residency_logged_once():
@@ -354,8 +379,7 @@ def test_stale_request_still_promotes_in_construction():
     sim = CacheSim(objects_config(6, Policy.ZIPF_CONSTRUCTION), changes)
     sim.process(rec(1, "A"))
     assert sim.process(rec(10, "A")) == STALE_MISS
-    stats = sim._engine.managing["A"]
-    assert stats.in_kernel and stats.count == 2
+    assert kernel_members(sim) == {"A"} and sim._engine.managing["A"].count == 2
     sim.check_invariants()
 
 
@@ -640,7 +664,8 @@ def construction_cases(draw):
 @settings(max_examples=400, deadline=None)
 def test_construction_equals_the_naive_reference(case):
     """CacheSim.process against tests/naive_construction.py, event for event:
-    the outcome, the evictions so far and the bypass count."""
+    the outcome, the evictions so far and the bypass count.  An eviction has
+    count 1 exactly when it leaves the accessory."""
     records, changes, config = case
     sim, log = logged_sim(config, changes)
     naive = NaiveConstruction(config, changes)
@@ -650,6 +675,7 @@ def test_construction_equals_the_naive_reference(case):
         assert sim._engine.bypassed == naive.bypassed
         sim.check_invariants()
     assert log == naive.evictions
+    assert [e.count == 1 for e in log] == [p == ACCESSORY for p in naive.evicted_from]
 
 
 @pytest.mark.parametrize("policy", list(Policy))
