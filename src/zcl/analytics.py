@@ -434,8 +434,8 @@ class MeasurementSummary:
         if flow > 0 and days > 0:
             size_days = result.capacity_bytes / (flow / days)
         return cls(
-            nu_out_rpd=result.requests / days if days > 0 else math.nan,
-            nu_int_rpd=origin_requests / days if days > 0 else math.nan,
+            nu_out_rpd=result.nu_out,
+            nu_int_rpd=result.nu_int,
             hit_ratio=result.hit_ratio,
             nu_b_out_kbps=to_kbps(result.total_bytes),
             nu_b_int_kbps=to_kbps(result.origin_bytes),

@@ -443,6 +443,11 @@ _REPORT_FIELDS = (
 )
 
 
+def _csv_line(*values) -> str:
+    """One CSV row; a null is an empty field."""
+    return ",".join("" if v is None else str(v) for v in values) + "\n"
+
+
 def cmd_report(args, manifest) -> int:
     try:
         os.makedirs(args.out_dir, exist_ok=True)  # holds the manifest even if the run fails
@@ -489,9 +494,7 @@ def cmd_report(args, manifest) -> int:
         with _open_out(path) as f:
             f.write("S_eff_over_nu_int_days,t_u_days,T_eff_days\n")
             for r in lifetimes:
-                f.write(
-                    f"{r['S_eff_over_nu_int_days']},{r['t_u_days']},{r.get('T_eff_days')}\n"
-                )
+                f.write(_csv_line(r["S_eff_over_nu_int_days"], r["t_u_days"], r.get("T_eff_days")))
         outputs.append(path)
 
     hits = [r for r in sized if r.get("H_pct") is not None]
@@ -507,9 +510,7 @@ def cmd_report(args, manifest) -> int:
                     r["S_eff_over_nu_int_days"],
                     args.alpha,
                 )
-                f.write(
-                    f"{r['S_eff_over_nu_int_days']},{r['H_pct']},{r.get('HB_pct')},{pred}\n"
-                )
+                f.write(_csv_line(r["S_eff_over_nu_int_days"], r["H_pct"], r.get("HB_pct"), pred))
         outputs.append(path)
 
     renewal = [

@@ -130,6 +130,12 @@ class TwoValuedChangeRate:
 
 ChangeRate = Union[float, TwoValuedChangeRate, Callable[[float], float]]
 
+# wolman_hit_ratio's quadrature tolerance and subdivision cap, and the band
+# by which its value may overshoot [0, 1] before that counts as a defect.
+_WOLMAN_REL_TOL = 1e-8
+_WOLMAN_MAX_SUBDIVISIONS = 1_000_000
+_WOLMAN_BAND = 1e-6
+
 
 @dataclass(frozen=True)
 class WolmanParams:
@@ -159,11 +165,7 @@ class WolmanParams:
         return float(self.change_rate)
 
 
-def wolman_hit_ratio(
-    params: WolmanParams,
-    rel_tol: float = 1e-8,
-    max_subdivisions: int = 1_000_000,
-) -> float:
+def wolman_hit_ratio(params: WolmanParams) -> float:
     """Steady-state aggregate object hit ratio over cacheable objects.
 
     Evaluates
@@ -207,13 +209,10 @@ def wolman_hit_ratio(
             pieces = [(1.0, cut), (cut, float(n))]
 
     value = sum(
-        adaptive_simpson(integrand, lo, hi, rel_tol, max_subdivisions)
+        adaptive_simpson(integrand, lo, hi, _WOLMAN_REL_TOL, _WOLMAN_MAX_SUBDIVISIONS)
         for lo, hi in pieces
     )
-    # Quadrature may overshoot [0, 1] by its own tolerance; anything worse
-    # than that indicates a genuine defect.
-    band = max(1e-9, 100.0 * rel_tol)
-    if not -band <= value <= 1.0 + band:
+    if not -_WOLMAN_BAND <= value <= 1.0 + _WOLMAN_BAND:
         raise ArithmeticError(f"hit ratio {value} escaped [0, 1]")
     return min(max(value, 0.0), 1.0)
 

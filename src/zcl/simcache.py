@@ -354,74 +354,71 @@ class _ZipfEngine(_Engine):
         # Running mean charge, for the bound that is not fixed.
         self._charge_sum = 0
         self._charge_n = 0
-        # The bound at the largest charge admitted so far.  The mean never
-        # exceeds it, so the bound is at least this; it changes only when a
-        # larger charge arrives.
-        self._largest_charge = 0
-        self._managing_floor = 0
 
-    def _managing_bound(self, mean: float | None = None) -> int:
-        """Bound on managing entries; mean, if given, stands in for the mean charge."""
+    def _managing_bound(self) -> int:
+        """Bound on managing entries, read after an admission."""
         if self._fixed_bound is not None:
             return self._fixed_bound
-        if mean is None:
-            mean = self._charge_sum / self._charge_n if self._charge_n else 1.0
+        mean = self._charge_sum / self._charge_n
         return max(100, int(10 * self.capacity / max(mean, 1.0)))
 
-    def _push_ghost(self, obj: Hashable, stats: _Stats):
+    def _to_ghost(self, obj: Hashable, stats: _Stats):
+        stats.resident = False
         self._tick = stats.tick = self._tick + 1
         heapq.heappush(self._ghost_heap, (stats.last_request, stats.tick, obj))
 
-    def _end_residency(self, obj: Hashable, stats: _Stats, now: float):
+    def _evict(self, obj: Hashable, stats: _Stats, now: float):
         self._log_eviction(obj, stats, now)
-        stats.resident = False
-        self._push_ghost(obj, stats)
+        self._to_ghost(obj, stats)
 
-    def _evict_kernel_over_capacity(self, now: float):
-        # Keys only grow, so a current entry at the top is the true minimum.
+    def _bypass(self, obj: Hashable, stats: _Stats, now: float):
+        """An object too big for the part it would enter: a resident one (a
+        failed promotion) is evicted, a newcomer or a ghost stays a ghost."""
+        self.bypassed += 1
+        if stats.resident:
+            self._evict(obj, stats, now)
+        else:
+            self._to_ghost(obj, stats)
+
+    def _insert_kernel(self, obj: Hashable, stats: _Stats, now: float):
+        """Place an object (residency fields already set) into the kernel, or
+        bypass it; then evict the kernel's minimum while it is over capacity."""
+        if stats.charge > self.kernel_capacity:
+            self._bypass(obj, stats, now)
+            return
+        stats.resident = True
+        self.kernel_bytes += stats.charge
         heap = self._kernel_heap
+        heapq.heappush(heap, (stats.count, stats.tick, obj))
+        # Keys only grow, so a current entry at the top is the true minimum.
         while self.kernel_bytes > self.kernel_capacity:
-            _, tick, obj = heap[0]
-            stats = self.managing[obj]
-            if stats.tick != tick:  # out of date: back in under its current key
-                heapq.heapreplace(heap, (stats.count, stats.tick, obj))
+            _, tick, victim_id = heap[0]
+            victim = self.managing[victim_id]
+            if victim.tick != tick:  # out of date: back in under its current key
+                heapq.heapreplace(heap, (victim.count, victim.tick, victim_id))
             else:
                 heapq.heappop(heap)
-                self.kernel_bytes -= stats.charge
-                self._end_residency(obj, stats, now)
+                self.kernel_bytes -= victim.charge
+                self._evict(victim_id, victim, now)
 
-    def _insert_kernel(self, obj: Hashable, stats: _Stats, now: float) -> bool:
-        """Place an object (residency fields already set) into the kernel;
-        False if it cannot fit even an empty kernel, and is not placed."""
-        charge = stats.charge
-        if charge > self.kernel_capacity:
-            return False
+    def _insert_accessory(self, obj: Hashable, stats: _Stats, now: float):
+        """Place a newcomer into the accessory, or bypass it; then evict the
+        accessory's head while it is over capacity."""
+        if stats.charge > self.accessory_capacity:
+            self._bypass(obj, stats, now)
+            return
         stats.resident = True
-        self.kernel_bytes += charge
-        heapq.heappush(self._kernel_heap, (stats.count, stats.tick, obj))
-        self._evict_kernel_over_capacity(now)
-        return True
-
-    def _insert_accessory(self, obj: Hashable, stats: _Stats, now: float) -> bool:
-        charge = stats.charge
-        if charge > self.accessory_capacity:
-            return False
-        stats.resident = True
-        stats.residency_start = now
         self.accessory[obj] = None
-        self.accessory_bytes += charge
+        self.accessory_bytes += stats.charge
         # FIFO overflow; the newcomer sits at the tail and cannot evict itself
         # because its charge alone fits the capacity checked above.
         while self.accessory_bytes > self.accessory_capacity:
             victim_id, _ = self.accessory.popitem(last=False)
             victim = self.managing[victim_id]
             self.accessory_bytes -= victim.charge
-            self._end_residency(victim_id, victim, now)
-        return True
+            self._evict(victim_id, victim, now)
 
     def _enforce_managing_bound(self):
-        if len(self.managing) <= self._managing_floor:
-            return
         bound = self._managing_bound()
         while len(self.managing) > bound and self._ghost_heap:
             _, tick, obj = heapq.heappop(self._ghost_heap)
@@ -440,12 +437,7 @@ class _ZipfEngine(_Engine):
             stats = self.managing[obj] = _Stats(now, charge)
             self._charge_sum += charge
             self._charge_n += 1
-            if charge > self._largest_charge:
-                self._largest_charge = charge
-                self._managing_floor = self._managing_bound(charge)
-            if not self._insert_accessory(obj, stats, now):
-                self.bypassed += 1
-                self._push_ghost(obj, stats)
+            self._insert_accessory(obj, stats, now)
             self._enforce_managing_bound()
             return _MISS
 
@@ -463,18 +455,14 @@ class _ZipfEngine(_Engine):
                 # kernel; residency_start is kept, so residence spans both parts.
                 del self.accessory[obj]
                 self.accessory_bytes -= stats.charge
-                if not self._insert_kernel(obj, stats, now):
-                    self.bypassed += 1
-                    self._end_residency(obj, stats, now)
+                self._insert_kernel(obj, stats, now)
             return outcome
 
         # Returning ghost: statistics survived eviction, so the refetched
         # copy goes straight into the kernel.
         stats.last_fetch = now
         stats.residency_start = now
-        if not self._insert_kernel(obj, stats, now):
-            self.bypassed += 1
-            self._push_ghost(obj, stats)
+        self._insert_kernel(obj, stats, now)
         return _MISS
 
     def occupancy(self, now: float) -> OccupancySample:
@@ -503,8 +491,6 @@ class _ZipfEngine(_Engine):
         m = self.managing
         current = {o for _, tick, o in self._ghost_heap if o in m and m[o].tick == tick}
         assert current == {o for o, st in m.items() if not st.resident}, "ghost entries"
-        # Admissions skip the bound while the managing part is within the floor.
-        assert self._managing_floor <= self._managing_bound(), "managing floor above the bound"
 
 
 def _out_of_order(now: float, last: float) -> ValueError:

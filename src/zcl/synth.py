@@ -146,21 +146,17 @@ class SyntheticTrace:
     change_rates: dict[str, float]  # object_id -> rate per day, zero omitted
 
 
-class _ZipfSampler:
-    """Inverse-CDF sampling of ranks 1..n with weights i**-alpha.
+def _zipf_ranks(rng: np.random.Generator, n: int, alpha: float, count: int) -> np.ndarray:
+    """count ranks from 1..n with weights i**-alpha, by inverse-CDF sampling.
 
-    The cumulative table costs O(n) once; each draw is a binary search.
+    The cumulative table costs O(n) and draws no random numbers; each rank
+    is a binary search.
     """
-
-    def __init__(self, n: int, alpha: float):
-        weights = np.arange(1, n + 1, dtype=float) ** -alpha
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
-
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        ranks = np.searchsorted(self._cdf, rng.random(count), side="left")
-        ranks += 1
-        return ranks
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=float) ** -alpha)
+    cdf /= cdf[-1]
+    ranks = np.searchsorted(cdf, rng.random(count), side="left")
+    ranks += 1
+    return ranks
 
 
 def _object_sizes(rng: np.random.Generator, n: int, mean: float, sigma: float) -> np.ndarray:
@@ -200,10 +196,10 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
     other_universe = max(1, n // 10)
     slots = np.empty(count, dtype=np.int32)
     n_cacheable = int(cacheable.sum())
-    slots[cacheable] = _ZipfSampler(n, spec.zipf_alpha).draw(rng, n_cacheable) + (other_universe - 1)
+    slots[cacheable] = _zipf_ranks(rng, n, spec.zipf_alpha, n_cacheable) + (other_universe - 1)
     if n_cacheable < count:
-        slots[~cacheable] = other_universe - _ZipfSampler(other_universe, spec.zipf_alpha).draw(
-            rng, count - n_cacheable
+        slots[~cacheable] = other_universe - _zipf_ranks(
+            rng, other_universe, spec.zipf_alpha, count - n_cacheable
         )
 
     sizes = _object_sizes(rng, n, spec.size_mean_bytes, spec.size_sigma)

@@ -1,10 +1,10 @@
 """A naive restatement of the construction policy, for differential tests.
 
 It follows the policy as the simcache._ZipfEngine docstring states it, with
-plain dicts and a linear scan for every victim: no count buckets, heaps,
-floors or lazy entries.  One clock orders everything: it ticks at each
-request, at each placement in a part and whenever an object becomes a ghost.
-It is slow on purpose and meant for traces of a few hundred requests.
+plain dicts and a linear scan for every victim: no heaps or lazy entries.
+One clock orders everything: it ticks at each request, at each placement
+in a part and whenever an object becomes a ghost.  It is slow on purpose
+and meant for traces of a few hundred requests.
 """
 
 from zcl.simcache import HIT, MISS, STALE_MISS, UNCACHEABLE, Eviction

@@ -704,6 +704,17 @@ def test_report_rejects_an_unusable_alpha_or_size_before_writing_anything(tmp_pa
     assert (manifest["status"], manifest["outputs"]) == ("incomplete", [])
 
 
+def test_report_writes_a_null_field_as_an_empty_csv_field(tmp_path):
+    doc = result_row(1.0, 30.0, None, tu=2.0, teff=None)
+    path = write(tmp_path / "r.json", json.dumps(doc))
+    out_dir = tmp_path / "figs"
+    assert main(["report", path, "--out-dir", str(out_dir)]) == 0
+    lifetimes = (out_dir / "lifetimes_vs_size.csv").read_text().splitlines()
+    assert lifetimes[1] == "1.0,2.0,"
+    hits = (out_dir / "hit_ratio_vs_size.csv").read_text().splitlines()
+    assert hits[1] == "1.0,30.0,,30.0"
+
+
 @pytest.mark.parametrize("p", [0, None])
 def test_report_skips_the_renewal_profile_of_a_zero_or_null_p(tmp_path, p):
     doc = result_row(5.96, 36.75, 10.78, tu=20.4, teff=18.9, alpha=0.8, alpha_r=0.7, p=p)

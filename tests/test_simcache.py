@@ -19,6 +19,7 @@ from zcl.simcache import (
     UNCACHEABLE,
     CacheConfig,
     CacheSim,
+    Eviction,
     Policy,
     compare_policies,
     replay,
@@ -244,6 +245,26 @@ def test_ghost_returns_straight_into_kernel():
     assert kernel_members(sim) == {"A"} and sim._engine.managing["A"].count == 2
     assert sim.process(rec(5, "A")) == HIT
     sim.check_invariants()
+
+
+def test_construction_bypasses_a_newcomer_a_ghost_and_a_promotion():
+    # Byte mode, kernel 20 + accessory 80.  A 90-byte newcomer fits neither
+    # part: it stays a ghost, and its return is bypassed again at count 2.
+    # A 50-byte object fits the accessory but not the kernel, so its
+    # promotion fails: the hit is served and the residency is logged.
+    sim, log = logged_sim(CacheConfig(100, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.2))
+    engine = sim._engine
+    outcomes = []
+    for r in [rec(1, "big", 90), rec(2, "big", 90), rec(3, "mid", 50), rec(4, "mid", 50)]:
+        outcomes.append(sim.process(r))
+        sim.check_invariants()
+        if r.object_id == "big":
+            assert not engine.managing["big"].resident
+    assert outcomes == [MISS, MISS, MISS, HIT]
+    assert engine.managing["big"].count == 2
+    assert log == [Eviction("mid", 3.0, 4.0, 2)]
+    assert not engine.managing["mid"].resident
+    assert sim.result().bypassed == 3
 
 
 def test_accessory_eviction_is_fifo_by_insertion():
