@@ -23,8 +23,10 @@ object charges exactly 1, which is the objects-mode used when comparing
 against size-free analytical results.
 
 An engine per policy holds only the policy state: the cache parts, the
-request counts, the change log, a count of evictions and a count of
-bypasses (requests whose object could not be placed).  It keeps no
+per-object statistics, the change log, a count of evictions and a count of
+bypasses (requests whose object could not be placed).  Objects are dense int
+codes, and the statistics are array columns indexed by code, so an entry
+costs a few machine words and no Python object.  The engine keeps no
 eviction log: with an optional sink attached, it hands each eviction, as
 one Eviction, to the sink when it happens.  So the one reader of the
 evictions (the `--evictions-out` writer, the lifetime fold of `zcl
@@ -32,22 +34,23 @@ analyze`, or a list's append) sees them in order, and the simulator's
 memory does not depend on who reads them.  Its access(obj, now, charge)
 applies one cacheable request; the front end that drives it resolves the
 charge, the size or 1, so no engine knows the accounting mode.  Two front
-ends drive it.  CacheSim.process takes one TraceRecord at a time and is
-the per-event reference.  replay takes a stream of trace blocks
-(trace.Block) and replays each one through every configuration in
-lockstep: numpy does the per-event bookkeeping (the order check, request
-and byte totals, uncacheable requests, the occupancy sample points), and
-Python calls access once per cacheable request and nothing else.  Both give
-identical results.  simulate and compare_policies replay a whole Trace in
-the blocks of Trace.blocks; `zcl simulate` and `zcl analyze` replay the
-blocks of trace.read_blocks as they are parsed, so they never hold the
-whole trace.
+ends drive it.  CacheSim.process takes one TraceRecord at a time, codes its
+object keys as they arrive, and is the per-event reference.  replay takes a
+stream of trace blocks (trace.Block), whose codes it uses as they are, and
+replays each one through every configuration in lockstep: numpy does the
+per-event bookkeeping (the order check, request and byte totals,
+uncacheable requests, the occupancy sample points), and Python calls access
+once per cacheable request and nothing else.  Both give identical results.
+simulate and compare_policies replay a whole Trace in the blocks of
+Trace.blocks; `zcl simulate` and `zcl analyze` replay the blocks of
+trace.read_blocks as they are parsed, so they never hold the whole trace.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -190,56 +193,35 @@ class SimulationResult:
         return (self.requests - self.hits) / d if d > 0 else math.nan
 
 
-class _Stats:
-    """A cache entry: per-object statistics, which in the construction's
-    managing part outlive residency.
-
-    count is the number of requests since the entry was made; an object
-    whose entry is gone starts again from 1.  Under LRU an entry lives for
-    one residency; under the construction it lives until the managing part
-    drops it.  tick is the construction engine's clock at the last repeat
-    request, or on becoming a ghost.
-    """
-
-    __slots__ = (
-        "count",
-        "tick",
-        "last_request",
-        "last_fetch",
-        "resident",
-        "charge",
-        "residency_start",
-    )
-
-    def __init__(self, now: float, charge: int):
-        self.count = 1
-        self.tick = 0
-        self.last_request = now
-        self.last_fetch = now
-        self.resident = False
-        self.charge = charge
-        self.residency_start = now
-
-
 EvictionSink = Callable[[Eviction], object]
+
+# The part of the construction an entry's object is in.
+_GHOST, _ACCESSORY, _KERNEL = 0, 1, 2
 
 
 class _Engine:
-    """What both policies share: freshness, the bypass count and the eviction
-    count.
+    """What both policies share: the per-object columns, freshness, the
+    bypass count and the eviction count.
+
+    Objects are dense int codes, and each engine keeps its per-object state
+    in array columns indexed by code, grown with grow(n) as codes are handed
+    out: count, the requests since the object's entry was made (0 when it
+    has none), last_fetch and residency_start (timestamps) and charge.
+    Under LRU an entry lives for one residency; under the construction it
+    lives until the managing part drops it.  changes is the change log keyed
+    by code.
 
     access(obj, now, charge) applies one cacheable request that takes charge
     units of capacity and returns _HIT, _STALE_MISS or _MISS.  Each eviction
     is counted and, when a sink is attached, handed to it as one Eviction,
-    built when it happens with the object's id: ids[obj], or obj itself when
-    ids is None.
+    built when it happens and named ids[obj].
     """
 
     def __init__(
         self,
         config: CacheConfig,
-        changes: dict[Hashable, Sequence[float]],
-        ids: Sequence[str] | None,
+        changes: dict[int, Sequence[float]],
+        ids: Sequence[Hashable] | None,
         sink: EvictionSink | None,
     ):
         self.capacity = config.capacity_bytes
@@ -248,8 +230,18 @@ class _Engine:
         self.sink = sink
         self.evictions = 0
         self.bypassed = 0
+        self.count = array("q")
+        self.charge = array("q")
+        self.last_fetch = array("d")
+        self.residency_start = array("d")
 
-    def _fresh(self, obj: Hashable, last_fetch: float, now: float) -> bool:
+    def grow(self, n: int):
+        """Add the columns' rows for n more codes, with no entries."""
+        zeros = bytes(8 * n)
+        for column in (self.count, self.charge, self.last_fetch, self.residency_start):
+            column.frombytes(zeros)
+
+    def _fresh(self, obj: int, last_fetch: float, now: float) -> bool:
         """Whether a copy fetched at last_fetch is still current at now."""
         times = self.changes.get(obj)
         if not times:
@@ -257,43 +249,50 @@ class _Engine:
         i = bisect_right(times, now)
         return i == 0 or times[i - 1] <= last_fetch
 
-    def _log_eviction(self, obj: Hashable, stats: _Stats, now: float):
+    def _make_entry(self, obj: int, now: float, charge: int):
+        self.count[obj] = 1
+        self.charge[obj] = charge
+        self.last_fetch[obj] = self.residency_start[obj] = now
+
+    def _log_eviction(self, obj: int, now: float):
         self.evictions += 1
         if self.sink is not None:
-            object_id = obj if self.ids is None else self.ids[obj]
-            self.sink(Eviction(object_id, stats.residency_start, now, stats.count))
+            self.sink(Eviction(self.ids[obj], self.residency_start[obj], now, self.count[obj]))
 
 
 class _LruEngine(_Engine):
     def __init__(
         self,
         config: CacheConfig,
-        changes: dict[Hashable, Sequence[float]],
-        ids: Sequence[str] | None,
+        changes: dict[int, Sequence[float]],
+        ids: Sequence[Hashable] | None,
         sink: EvictionSink | None,
     ):
         super().__init__(config, changes, ids, sink)
-        self.entries: OrderedDict[Hashable, _Stats] = OrderedDict()
+        self.entries: OrderedDict[int, None] = OrderedDict()  # the resident objects
         self.used = 0
 
-    def access(self, obj: Hashable, now: float, charge: int) -> int:
-        entry = self.entries.get(obj)
-        if entry is not None:
-            entry.count += 1
+    def access(self, obj: int, now: float, charge: int) -> int:
+        count = self.count
+        n = count[obj]
+        if n:
+            count[obj] = n + 1
             self.entries.move_to_end(obj)
-            if self.changes and not self._fresh(obj, entry.last_fetch, now):
-                entry.last_fetch = now
+            if self.changes and not self._fresh(obj, self.last_fetch[obj], now):
+                self.last_fetch[obj] = now
                 return _STALE_MISS
             return _HIT
         if charge > self.capacity:
             self.bypassed += 1
             return _MISS
-        self.entries[obj] = _Stats(now, charge)
+        self._make_entry(obj, now, charge)
+        self.entries[obj] = None
         self.used += charge
         while self.used > self.capacity:
-            victim_id, victim = self.entries.popitem(last=False)
-            self.used -= victim.charge
-            self._log_eviction(victim_id, victim, now)
+            victim, _ = self.entries.popitem(last=False)
+            self.used -= self.charge[victim]
+            self._log_eviction(victim, now)
+            count[victim] = 0
         return _MISS
 
     def occupancy(self, now: float) -> OccupancySample:
@@ -301,7 +300,8 @@ class _LruEngine(_Engine):
 
     def check_invariants(self):
         assert self.used <= self.capacity, "LRU over capacity"
-        assert self.used == sum(e.charge for e in self.entries.values())
+        assert self.used == sum(self.charge[o] for o in self.entries)
+        assert {o for o, n in enumerate(self.count) if n} == self.entries.keys(), "LRU entries"
 
 
 class _ZipfEngine(_Engine):
@@ -324,28 +324,36 @@ class _ZipfEngine(_Engine):
     - After each new entry, while the entries exceed the managing bound, the
       ghost with the oldest last request is dropped, ties at one timestamp by
       the order in which they last became ghosts.
+
+    Besides the shared columns each object has a tick, the engine's clock at
+    its last repeat request or on becoming a ghost; its last_request; and its
+    part (_GHOST, _ACCESSORY or _KERNEL) in a bytearray.  managing counts the
+    entries.
     """
 
     def __init__(
         self,
         config: CacheConfig,
-        changes: dict[Hashable, Sequence[float]],
-        ids: Sequence[str] | None,
+        changes: dict[int, Sequence[float]],
+        ids: Sequence[Hashable] | None,
         sink: EvictionSink | None,
     ):
         super().__init__(config, changes, ids, sink)
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
-        self.managing: dict[Hashable, _Stats] = {}
-        self.accessory: OrderedDict[Hashable, None] = OrderedDict()
+        self.tick = array("q")
+        self.last_request = array("d")
+        self.part = bytearray()
+        self.managing = 0
+        self.accessory: OrderedDict[int, None] = OrderedDict()
         self.kernel_bytes = 0
         self.accessory_bytes = 0
         self._tick = 0  # repeat requests and new ghosts so far
         # Lazy min-heaps, checked on pop: a (count, tick, obj) per kernel object,
         # lagging its object's key, never ahead; and a (last_request, tick, obj)
         # each time an object becomes a ghost, current while its tick is.
-        self._kernel_heap: list[tuple[int, int, Hashable]] = []
-        self._ghost_heap: list[tuple[float, int, Hashable]] = []
+        self._kernel_heap: list[tuple[int, int, int]] = []
+        self._ghost_heap: list[tuple[float, int, int]] = []
         # The managing bound when it does not follow the mean charge: the
         # configured one, or in objects mode 10x the objects that fit.
         self._fixed_bound = config.managing_capacity
@@ -355,6 +363,13 @@ class _ZipfEngine(_Engine):
         self._charge_sum = 0
         self._charge_n = 0
 
+    def grow(self, n: int):
+        super().grow(n)
+        zeros = bytes(8 * n)
+        self.tick.frombytes(zeros)
+        self.last_request.frombytes(zeros)
+        self.part += bytes(n)
+
     def _managing_bound(self) -> int:
         """Bound on managing entries, read after an admission."""
         if self._fixed_bound is not None:
@@ -362,135 +377,135 @@ class _ZipfEngine(_Engine):
         mean = self._charge_sum / self._charge_n
         return max(100, int(10 * self.capacity / max(mean, 1.0)))
 
-    def _to_ghost(self, obj: Hashable, stats: _Stats):
-        stats.resident = False
-        self._tick = stats.tick = self._tick + 1
-        heapq.heappush(self._ghost_heap, (stats.last_request, stats.tick, obj))
+    def _to_ghost(self, obj: int):
+        self.part[obj] = _GHOST
+        self._tick = self.tick[obj] = self._tick + 1
+        heapq.heappush(self._ghost_heap, (self.last_request[obj], self._tick, obj))
 
-    def _evict(self, obj: Hashable, stats: _Stats, now: float):
-        self._log_eviction(obj, stats, now)
-        self._to_ghost(obj, stats)
+    def _evict(self, obj: int, now: float):
+        self._log_eviction(obj, now)
+        self._to_ghost(obj)
 
-    def _bypass(self, obj: Hashable, stats: _Stats, now: float):
+    def _bypass(self, obj: int, now: float):
         """An object too big for the part it would enter: a resident one (a
         failed promotion) is evicted, a newcomer or a ghost stays a ghost."""
         self.bypassed += 1
-        if stats.resident:
-            self._evict(obj, stats, now)
+        if self.part[obj] != _GHOST:
+            self._evict(obj, now)
         else:
-            self._to_ghost(obj, stats)
+            self._to_ghost(obj)
 
-    def _insert_kernel(self, obj: Hashable, stats: _Stats, now: float):
-        """Place an object (residency fields already set) into the kernel, or
+    def _insert_kernel(self, obj: int, now: float):
+        """Place an object (residency columns already set) into the kernel, or
         bypass it; then evict the kernel's minimum while it is over capacity."""
-        if stats.charge > self.kernel_capacity:
-            self._bypass(obj, stats, now)
+        charge = self.charge[obj]
+        if charge > self.kernel_capacity:
+            self._bypass(obj, now)
             return
-        stats.resident = True
-        self.kernel_bytes += stats.charge
-        heap = self._kernel_heap
-        heapq.heappush(heap, (stats.count, stats.tick, obj))
+        self.part[obj] = _KERNEL
+        self.kernel_bytes += charge
+        heap, count, tick = self._kernel_heap, self.count, self.tick
+        heapq.heappush(heap, (count[obj], tick[obj], obj))
         # Keys only grow, so a current entry at the top is the true minimum.
         while self.kernel_bytes > self.kernel_capacity:
-            _, tick, victim_id = heap[0]
-            victim = self.managing[victim_id]
-            if victim.tick != tick:  # out of date: back in under its current key
-                heapq.heapreplace(heap, (victim.count, victim.tick, victim_id))
+            _, t, victim = heap[0]
+            if tick[victim] != t:  # out of date: back in under its current key
+                heapq.heapreplace(heap, (count[victim], tick[victim], victim))
             else:
                 heapq.heappop(heap)
-                self.kernel_bytes -= victim.charge
-                self._evict(victim_id, victim, now)
+                self.kernel_bytes -= self.charge[victim]
+                self._evict(victim, now)
 
-    def _insert_accessory(self, obj: Hashable, stats: _Stats, now: float):
+    def _insert_accessory(self, obj: int, now: float):
         """Place a newcomer into the accessory, or bypass it; then evict the
         accessory's head while it is over capacity."""
-        if stats.charge > self.accessory_capacity:
-            self._bypass(obj, stats, now)
+        charge = self.charge[obj]
+        if charge > self.accessory_capacity:
+            self._bypass(obj, now)
             return
-        stats.resident = True
+        self.part[obj] = _ACCESSORY
         self.accessory[obj] = None
-        self.accessory_bytes += stats.charge
+        self.accessory_bytes += charge
         # FIFO overflow; the newcomer sits at the tail and cannot evict itself
         # because its charge alone fits the capacity checked above.
         while self.accessory_bytes > self.accessory_capacity:
-            victim_id, _ = self.accessory.popitem(last=False)
-            victim = self.managing[victim_id]
-            self.accessory_bytes -= victim.charge
-            self._evict(victim_id, victim, now)
+            victim, _ = self.accessory.popitem(last=False)
+            self.accessory_bytes -= self.charge[victim]
+            self._evict(victim, now)
 
     def _enforce_managing_bound(self):
         bound = self._managing_bound()
-        while len(self.managing) > bound and self._ghost_heap:
-            _, tick, obj = heapq.heappop(self._ghost_heap)
-            stats = self.managing.get(obj)
-            if stats is None or stats.tick != tick:  # requested since, or dropped
-                continue
-            del self.managing[obj]
+        heap, count, tick = self._ghost_heap, self.count, self.tick
+        while self.managing > bound and heap:
+            _, t, obj = heapq.heappop(heap)
+            if count[obj] and tick[obj] == t:  # not requested since, nor dropped
+                count[obj] = 0
+                self.managing -= 1
         # All remaining entries may be resident; those are never dropped.
 
-    def access(self, obj: Hashable, now: float, charge: int) -> int:
-        stats = self.managing.get(obj)
+    def access(self, obj: int, now: float, charge: int) -> int:
+        count = self.count
+        n = count[obj] + 1
 
-        if stats is None:
+        if n == 1:
             # Admission: first request ever seen for this object, or the
             # first since its entry was dropped.
-            stats = self.managing[obj] = _Stats(now, charge)
+            self._make_entry(obj, now, charge)
+            self.tick[obj] = 0
+            self.last_request[obj] = now
+            self.part[obj] = _GHOST
+            self.managing += 1
             self._charge_sum += charge
             self._charge_n += 1
-            self._insert_accessory(obj, stats, now)
+            self._insert_accessory(obj, now)
             self._enforce_managing_bound()
             return _MISS
 
-        stats.count += 1
-        stats.last_request = now
-        self._tick = stats.tick = self._tick + 1
+        count[obj] = n
+        self.last_request[obj] = now
+        self._tick = self.tick[obj] = self._tick + 1
 
-        if stats.resident:
+        part = self.part[obj]
+        if part:  # resident
             outcome = _HIT
-            if self.changes and not self._fresh(obj, stats.last_fetch, now):
-                stats.last_fetch = now
+            if self.changes and not self._fresh(obj, self.last_fetch[obj], now):
+                self.last_fetch[obj] = now
                 outcome = _STALE_MISS
-            if stats.count == 2:  # it held 1, so it is in the accessory
+            if part == _ACCESSORY:
                 # Promotion: a repeat request moves it from accessory to the
                 # kernel; residency_start is kept, so residence spans both parts.
                 del self.accessory[obj]
-                self.accessory_bytes -= stats.charge
-                self._insert_kernel(obj, stats, now)
+                self.accessory_bytes -= self.charge[obj]
+                self._insert_kernel(obj, now)
             return outcome
 
         # Returning ghost: statistics survived eviction, so the refetched
         # copy goes straight into the kernel.
-        stats.last_fetch = now
-        stats.residency_start = now
-        self._insert_kernel(obj, stats, now)
+        self.last_fetch[obj] = self.residency_start[obj] = now
+        self._insert_kernel(obj, now)
         return _MISS
 
     def occupancy(self, now: float) -> OccupancySample:
-        return OccupancySample(now, self.kernel_bytes, self.accessory_bytes, len(self.managing))
+        return OccupancySample(now, self.kernel_bytes, self.accessory_bytes, self.managing)
 
     def check_invariants(self):
         assert self.kernel_bytes <= self.kernel_capacity, "kernel over capacity"
         assert self.accessory_bytes <= self.accessory_capacity, "accessory over capacity"
-        k_bytes = a_bytes = 0
-        kernel = {}  # resident objects outside the accessory
-        for obj, stats in self.managing.items():
-            if not stats.resident:
-                continue
-            if obj in self.accessory:
-                assert stats.count == 1, f"accessory object {obj} with count {stats.count}"
-                a_bytes += stats.charge
-            else:
-                assert stats.count >= 2, f"kernel object {obj} with count {stats.count}"
-                k_bytes += stats.charge
-                kernel[obj] = (stats.count, stats.tick)
-        assert k_bytes == self.kernel_bytes and a_bytes == self.accessory_bytes
-        assert all(self.managing[obj].resident for obj in self.accessory)
-        keys = {obj: (count, tick) for count, tick, obj in self._kernel_heap}
+        count, tick, part, charge = self.count, self.tick, self.part, self.charge
+        entries = [o for o, n in enumerate(count) if n]
+        assert len(entries) == self.managing, "managing count"
+        members = {p: [o for o in entries if part[o] == p] for p in (_GHOST, _ACCESSORY, _KERNEL)}
+        assert members[_ACCESSORY] == sorted(self.accessory), "accessory members"
+        assert all(count[o] == 1 for o in members[_ACCESSORY]), "accessory count above 1"
+        assert all(count[o] >= 2 for o in members[_KERNEL]), "kernel count below 2"
+        assert self.kernel_bytes == sum(charge[o] for o in members[_KERNEL])
+        assert self.accessory_bytes == sum(charge[o] for o in members[_ACCESSORY])
+        kernel = {o: (count[o], tick[o]) for o in members[_KERNEL]}
+        keys = {obj: (n, t) for n, t, obj in self._kernel_heap}
         assert len(keys) == len(self._kernel_heap) and keys.keys() == kernel.keys(), "kernel heap"
         assert all(keys[o] <= key for o, key in kernel.items()), "kernel entry ahead"
-        m = self.managing
-        current = {o for _, tick, o in self._ghost_heap if o in m and m[o].tick == tick}
-        assert current == {o for o, st in m.items() if not st.resident}, "ghost entries"
+        current = {o for _, t, o in self._ghost_heap if count[o] and tick[o] == t}
+        assert current == set(members[_GHOST]), "ghost entries"
 
 
 def _out_of_order(now: float, last: float) -> ValueError:
@@ -515,22 +530,27 @@ class CacheSim:
     STALE_MISS or UNCACHEABLE); ``result`` finalizes counters into a
     SimulationResult.  It is the per-event reference for ``simulate``:
     feeding events one by one gives exactly the result ``simulate`` gives
-    over the same stream.  Object keys are opaque to the simulator: whatever
-    ``process`` (or ``replay``, with int codes) passes in is what the change
-    log is keyed by.  sink, if given, is called with each Eviction as it
-    happens; its object_id is ids[key], or the key itself when ids is None.
+    over the same stream.  Object keys are opaque to the simulator: process
+    interns each cacheable request's key to a dense code when it first
+    arrives, and then takes the key's change times, if any, from changes,
+    which is keyed the same way.  sink, if given, is called with each
+    Eviction as it happens, named by the caller's key.  A byte-mode charge
+    outside int64 raises OverflowError, as Trace.from_records does for the
+    size, before the record changes anything.
     """
 
     def __init__(
         self,
         config: CacheConfig,
         changes: dict[Hashable, Sequence[float]] | None = None,
-        ids: Sequence[str] | None = None,
         sink: EvictionSink | None = None,
     ):
         self.config = config
+        self._changes = {} if changes is None else changes  # by the caller's keys
+        self._codes: dict[Hashable, int] = {}  # process's keys, by first arrival
         engine = _LruEngine if config.policy is Policy.LRU else _ZipfEngine
-        self._engine = engine(config, {} if changes is None else changes, ids, sink)
+        # The engine's change log by code and its id table grow as keys arrive.
+        self._engine = engine(config, {}, [], sink)
         self._result = SimulationResult(
             policy=config.policy,
             capacity_bytes=config.capacity_bytes,
@@ -539,8 +559,23 @@ class CacheSim:
         self._last_ts: float | None = None
         self._finalized = False
 
+    def _code(self, key: Hashable) -> int:
+        """key's object code, handed out on its first arrival."""
+        code = self._codes.get(key)
+        if code is None:
+            engine = self._engine
+            code = self._codes[key] = len(engine.ids)
+            engine.ids.append(key)
+            engine.grow(1)
+            if key in self._changes:
+                engine.changes[code] = self._changes[key]
+        return code
+
     def process(self, rec: TraceRecord) -> str:
         now, size = rec.timestamp, rec.size_bytes
+        charge = size if self.config.byte_accounting else 1
+        if rec.cacheable and not -(2**63) <= charge < 2**63:
+            raise OverflowError(f"charge {charge} of {rec.object_id!r} out of int64 range")
         last = self._last_ts
         if last is None:
             self._result.start_ts = now
@@ -556,8 +591,7 @@ class CacheSim:
             r.origin_bytes += size
             outcome = UNCACHEABLE
         else:
-            charge = size if self.config.byte_accounting else 1
-            outcome = _OUTCOMES[self._engine.access(rec.object_id, now, charge)]
+            outcome = _OUTCOMES[self._engine.access(self._code(rec.object_id), now, charge)]
             if outcome == HIT:
                 r.hits += 1
                 r.hit_bytes += size
@@ -654,11 +688,12 @@ def replay(
 
     Each block is replayed through every configuration before the next is
     taken, with int object codes as keys.  As each block brings its new ids,
-    the change log is re-keyed to their codes and, when a sink is attached,
-    they join the id table the evictions are named from; with no sink no id
-    is held.  Each configuration is given the block's charges: its cacheable
-    sizes in byte accounting, 1 each in objects mode.  sinks, if given,
-    holds one eviction sink (or None) per configuration.
+    every engine's columns grow by as many codes, the change log is re-keyed
+    to their codes and, when a sink is attached, they join the id table the
+    evictions are named from; with no sink no id is held.  Each
+    configuration is given the block's charges: its cacheable sizes in byte
+    accounting, 1 each in objects mode.  sinks, if given, holds one
+    eviction sink (or None) per configuration.
     """
     if not configs:
         raise ValueError("need at least one configuration")
@@ -669,15 +704,21 @@ def replay(
     ids: list[str] | None = [] if any(sink is not None for sink in sinks) else None
     seen = 0  # codes handed out so far: the next block's first new code
     keyed: dict[int, Sequence[float]] = {}  # the change log by code, shared by every engine
-    sims = [CacheSim(config, keyed, ids, sink) for config, sink in zip(configs, sinks)]
+    sims = [CacheSim(config, sink=sink) for config, sink in zip(configs, sinks)]
+    engines = [sim._engine for sim in sims]
+    for engine in engines:  # keyed by the blocks' codes, not by process's
+        engine.changes, engine.ids = keyed, ids
     for block in blocks:
+        new = len(block.new_object_ids)
         if changes:
             for code, obj in enumerate(block.new_object_ids, seen):
                 if obj in changes:
                     keyed[code] = changes[obj]
-        seen += len(block.new_object_ids)
+        seen += new
         if ids is not None:
             ids += block.new_object_ids
+        for engine in engines:
+            engine.grow(new)
         cacheable = np.flatnonzero(block.cacheable)
         objects = block.objects[cacheable].tolist()
         times = block.timestamps[cacheable].tolist()

@@ -108,7 +108,7 @@ class TraceRecord:
 _ORIGIN_VALUES = (False, True, None)
 _BOOL_TOKENS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
 _ORIGIN_TOKENS = {"": -1, **{token: int(flag) for token, flag in _BOOL_TOKENS.items()}}
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 14
 # Characters that can make the csv module quote a field; other ids are
 # written verbatim.
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')

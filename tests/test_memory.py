@@ -1,11 +1,16 @@
-"""Memory that grows with the number of objects, not with the trace length.
+"""Memory that grows with the number of objects, not with the trace length,
+and at a small cost per object.
 
-Each case streams N and then 3N requests of one synth spec with a fixed
-universe through read_blocks, in blocks of 4,096 rows, and compares the
-tracemalloc peaks.  By N requests nearly every object has been seen, so a
-peak that still grows with the trace is per-request state.  At the default
-65,536 rows the block parse dominates the peak and moves with the block
+Each growth case streams N and then 3N requests of one synth spec with a
+fixed universe through read_blocks, in blocks of 4,096 rows, and compares
+the tracemalloc peaks.  By N requests nearly every object has been seen, so
+a peak that still grows with the trace is per-request state.  At the default
+16,384 rows the block parse dominates the peak and moves with the block
 layout, hence the small blocks.
+
+The footprint cases replay a trace with no evictions, whose peak is the
+engine's per-object state plus one block's temporaries, and bound it per
+distinct cacheable object.
 
 Left out: the construction whose managing bound is never reached, whose
 lazy ghost heap gains an entry per eviction and still grows with the trace
@@ -18,6 +23,7 @@ import io
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from zcl import trace as trace_module
@@ -92,3 +98,33 @@ def test_peak_memory_does_not_grow_with_the_trace(csv_texts, monkeypatch, case):
     monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 4096)
     short, long = (peak(CASES[case], csv_texts[n][0]) for n in (N, 3 * N))
     assert long <= 1.1 * short + FLOOR, f"{short} B at {N} requests, {long} B at {3 * N}"
+
+
+# Bytes of tracemalloc peak per distinct cacheable object, for a replay in
+# blocks of 4,096 rows that evicts nothing.  Engines that kept one Python
+# object per entry read 427 B (construction) and 291 B (LRU); per-object
+# columns read 249 B and 189 B.
+FOOTPRINT = {Policy.ZIPF_CONSTRUCTION: 340, Policy.LRU: 240}
+
+
+@pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+def test_peak_memory_per_object(policy):
+    spec = SyntheticWorkloadSpec(
+        universe_size=20_000,
+        zipf_alpha=0.8,
+        clients=1,
+        per_client_rate=1e5,
+        cacheable_fraction=0.85,
+        seed=5,
+    )
+    records = generate_synthetic_trace(spec).records
+    objects = len(np.unique(records.objects[records.cacheable]))
+    config = CacheConfig(10**12, policy)  # every part holds every object
+    tracemalloc.start()
+    try:
+        (result,) = replay(records.blocks(4096), [config])
+        used = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evictions == 0 and objects > 15_000
+    assert used / objects <= FOOTPRINT[policy], f"{used / objects:.0f} B per object"

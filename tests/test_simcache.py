@@ -1,12 +1,13 @@
 import io
 import random
 import re
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from naive_construction import ACCESSORY, NaiveConstruction
+from naive_construction import ACCESSORY, GHOST, KERNEL, NaiveConstruction
 
 from zcl import model
 from zcl import simcache as simcache_module
@@ -216,20 +217,102 @@ def test_lru_stack_property_uniform_sizes():
     assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
+KEYS = [1, "1", (1, "1")]
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_process_keeps_opaque_keys_apart(policy):
+    # 1, "1" and a tuple are three objects, and only the int changed, at t=5.
+    sim, log = logged_sim(objects_config(100, policy), {1: [5.0]})
+    assert [sim.process(rec(t, key)) for t, key in enumerate(KEYS)] == [MISS] * 3
+    assert [sim.process(rec(10 + t, key)) for t, key in enumerate(KEYS)] == [STALE_MISS, HIT, HIT]
+    assert sim.result().stale_misses == 1 and log == []
+
+
+@pytest.mark.parametrize("config", [
+    objects_config(1),
+    objects_config(2, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.5),  # an accessory of 1
+])
+def test_process_names_evictions_by_the_callers_key(config):
+    sim, log = logged_sim(config)
+    for t, key in enumerate(KEYS):
+        sim.process(rec(t, key))
+    assert log == [Eviction(1, 0.0, 1.0, 1), Eviction("1", 1.0, 2.0, 1)]
+    assert [type(e.object_id) for e in log] == [int, str]
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_process_and_replay_agree_event_for_event(policy):
+    # An occupancy sample after every event, and every eviction in order.
+    records, changes = random_workload(41, n_events=3000)
+    config = CacheConfig(capacity_bytes=100_000, policy=policy, occupancy_stride=1)
+    sim, log = logged_sim(config, changes)
+    outcomes = [sim.process(r) for r in records]
+    blocks = Trace.from_records(records).blocks(64)
+    (result,), (replayed,) = logged_replay(blocks, [config], changes)
+    assert result.stale_misses == outcomes.count(STALE_MISS) > 0
+    assert replayed == log and log
+    assert result.occupancy == sim.result().occupancy and len(result.occupancy) == len(records)
+    assert result == sim.result()
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_process_rejects_a_charge_beyond_int64(policy):
+    huge = rec(2, "B", size=2**63)
+    with pytest.raises(OverflowError):  # as a Trace rejects the size
+        Trace.from_records([huge])
+    sim = CacheSim(CacheConfig(capacity_bytes=2**64, policy=policy))
+    sim.process(rec(1, "A", size=5))
+    with pytest.raises(OverflowError, match="out of int64 range"):
+        sim.process(huge)
+    # The rejected record changed nothing.
+    assert sim.process(rec(3, "A", size=5)) == HIT
+    result = sim.result()
+    assert (result.requests, result.misses, result.total_bytes) == (2, 1, 10)
+    sim.check_invariants()
+    # Objects mode charges 1 whatever the size; an uncacheable request no charge.
+    objects = CacheSim(objects_config(2, policy))
+    assert objects.process(huge) == MISS
+    assert objects.process(rec(3, "C", size=2**64, cacheable=False)) == UNCACHEABLE
+
+
 # --- segmented construction -------------------------------------------------------
+
+
+class Entry(NamedTuple):
+    count: int
+    part: str  # GHOST, ACCESSORY or KERNEL
+
+    @property
+    def resident(self):
+        return self.part != GHOST
+
+
+PARTS = {simcache_module._GHOST: GHOST, simcache_module._ACCESSORY: ACCESSORY,
+         simcache_module._KERNEL: KERNEL}
+
+
+def managing(sim):
+    """The construction's entries by the caller's key: each key's code, read
+    from the engine's columns."""
+    engine = sim._engine
+    return {
+        key: Entry(engine.count[code], PARTS[engine.part[code]])
+        for key, code in sim._codes.items()
+        if engine.count[code]
+    }
 
 
 def kernel_members(sim):
     """The construction's kernel: its resident objects outside the accessory."""
-    engine = sim._engine
-    return {o for o, s in engine.managing.items() if s.resident and o not in engine.accessory}
+    return {o for o, s in managing(sim).items() if s.part == KERNEL}
 
 
 def test_repeat_request_promotes_to_kernel():
     sim = CacheSim(objects_config(6, Policy.ZIPF_CONSTRUCTION))
     assert sim.process(rec(1, "A")) == MISS
     assert sim.process(rec(2, "A")) == HIT
-    assert kernel_members(sim) == {"A"} and sim._engine.managing["A"].count == 2
+    assert kernel_members(sim) == {"A"} and managing(sim)["A"].count == 2
     sim.check_invariants()
 
 
@@ -242,7 +325,7 @@ def test_ghost_returns_straight_into_kernel():
     assert sim.process(rec(3, "C")) == MISS  # evicts A (FIFO)
     assert [(e.object_id, e.count) for e in log] == [("A", 1)]
     assert sim.process(rec(4, "A")) == MISS  # ghost: refetch into kernel
-    assert kernel_members(sim) == {"A"} and sim._engine.managing["A"].count == 2
+    assert kernel_members(sim) == {"A"} and managing(sim)["A"].count == 2
     assert sim.process(rec(5, "A")) == HIT
     sim.check_invariants()
 
@@ -253,17 +336,16 @@ def test_construction_bypasses_a_newcomer_a_ghost_and_a_promotion():
     # A 50-byte object fits the accessory but not the kernel, so its
     # promotion fails: the hit is served and the residency is logged.
     sim, log = logged_sim(CacheConfig(100, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.2))
-    engine = sim._engine
     outcomes = []
     for r in [rec(1, "big", 90), rec(2, "big", 90), rec(3, "mid", 50), rec(4, "mid", 50)]:
         outcomes.append(sim.process(r))
         sim.check_invariants()
         if r.object_id == "big":
-            assert not engine.managing["big"].resident
+            assert not managing(sim)["big"].resident
     assert outcomes == [MISS, MISS, MISS, HIT]
-    assert engine.managing["big"].count == 2
+    assert managing(sim)["big"].count == 2
     assert log == [Eviction("mid", 3.0, 4.0, 2)]
-    assert not engine.managing["mid"].resident
+    assert not managing(sim)["mid"].resident
     assert sim.result().bypassed == 3
 
 
@@ -313,9 +395,9 @@ def test_managing_never_drops_resident_entries():
     sim = CacheSim(config)
     for t, obj in enumerate(["A", "B", "C", "D", "E", "F", "G"], start=1):
         sim.process(rec(t, obj))
-    managing = sim._engine.managing
-    assert len(managing) <= 4  # every resident is tracked even past the bound
-    for obj, stats in managing.items():
+    entries = managing(sim)
+    assert len(entries) <= 4  # every resident is tracked even past the bound
+    for obj, stats in entries.items():
         if stats.resident:
             assert stats.count >= 1
     sim.check_invariants()
@@ -336,7 +418,7 @@ def test_managing_drops_oldest_last_request_first(bound, requests, kept):
     for t, obj in requests:
         sim.process(rec(t, obj))
         sim.check_invariants()
-    assert "".join(sorted(sim._engine.managing)) == kept
+    assert "".join(sorted(managing(sim))) == kept
 
 
 def test_objects_mode_managing_bound_is_ten_times_capacity_without_floor():
@@ -345,7 +427,7 @@ def test_objects_mode_managing_bound_is_ten_times_capacity_without_floor():
     sim = CacheSim(objects_config(3, Policy.ZIPF_CONSTRUCTION))
     for t in range(50):
         sim.process(rec(t, f"o{t}"))
-    assert len(sim._engine.managing) == 30
+    assert len(managing(sim)) == 30
     sim.check_invariants()
 
 
@@ -356,10 +438,10 @@ def test_forgotten_ghost_readmitted_as_new():
     sim.process(rec(1, "A"))
     sim.process(rec(2, "B"))
     sim.process(rec(3, "C"))  # accessory evicts A; managing bound drops its ghost
-    assert "A" not in sim._engine.managing
+    assert "A" not in managing(sim)
     sim.process(rec(4, "A"))  # comes back as if never seen
-    stats = sim._engine.managing["A"]
-    assert stats.count == 1 and "A" in sim._engine.accessory
+    stats = managing(sim)["A"]
+    assert stats.count == 1 and stats.part == ACCESSORY
     sim.process(rec(5, "D"))
     sim.process(rec(6, "E"))  # the re-made entry leaves the accessory
     assert [(e.object_id, e.insert_ts, e.count) for e in log if e.object_id == "A"] == [
@@ -400,7 +482,7 @@ def test_stale_request_still_promotes_in_construction():
     sim = CacheSim(objects_config(6, Policy.ZIPF_CONSTRUCTION), changes)
     sim.process(rec(1, "A"))
     assert sim.process(rec(10, "A")) == STALE_MISS
-    assert kernel_members(sim) == {"A"} and sim._engine.managing["A"].count == 2
+    assert kernel_members(sim) == {"A"} and managing(sim)["A"].count == 2
     sim.check_invariants()
 
 
@@ -580,15 +662,15 @@ def process_checked(records, config, changes):
     no ghost was left to drop: only admissions enforce the bound.
     """
     sim, log = logged_sim(config, changes)
-    engine = sim._engine
     zipf = config.policy is Policy.ZIPF_CONSTRUCTION
     for r in records:
-        admitting = zipf and r.cacheable and r.object_id not in engine.managing
+        admitting = zipf and r.cacheable and r.object_id not in managing(sim)
         sim.process(r)
         sim.check_invariants()
         if admitting:
-            assert len(engine.managing) <= engine._managing_bound() or all(
-                stats.resident for stats in engine.managing.values()
+            entries = managing(sim)
+            assert len(entries) <= sim._engine._managing_bound() or all(
+                stats.resident for stats in entries.values()
             )
     result = sim.result()
     assert result.evictions == len(log)
