@@ -25,7 +25,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .trace import Block, Trace, TraceRecord
+from .trace import SECONDS_PER_DAY, Block, Trace, TraceRecord
 
 __all__ = [
     "PopularityProfile",
@@ -45,8 +45,6 @@ __all__ = [
     "alpha_growth_constant",
     "export_profile_csv",
 ]
-
-SECONDS_PER_DAY = 86_400.0
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ Two replacement policies:
   eviction.  A returning object whose statistics survived goes straight
   back into the kernel; that ghost memory is what distinguishes the
   construction from policies that only know the currently resident set.
-  The kernel's victims and the ghosts to drop come from lazy min-heaps, so
-  a kernel hit only updates its object's statistics.
+  The kernel's victims and the ghosts to drop come from lazy min-heaps
+  holding at most one entry per object, refreshed when it reaches the top,
+  so a kernel hit only updates its object's statistics and the heaps grow
+  with the objects, not with the evictions.
 
 Renewal is modeled through an optional change log: a request for a resident
 object whose content changed since it was last fetched counts as a miss
@@ -53,14 +55,14 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .trace import Block, Trace, TraceRecord
+from .trace import SECONDS_PER_DAY, Block, Trace, TraceRecord
 
 __all__ = [
     "Policy",
@@ -77,8 +79,6 @@ __all__ = [
     "STALE_MISS",
     "UNCACHEABLE",
 ]
-
-SECONDS_PER_DAY = 86_400.0
 
 # Outcomes of a single event.
 HIT = "hit"
@@ -147,17 +147,18 @@ class OccupancySample(NamedTuple):
 
 @dataclass
 class SimulationResult:
+    """One configuration's counts; misses and origin_bytes (bytes not served
+    as hits) derive from them.  start_ts and end_ts: first and last timestamp."""
+
     policy: Policy
     capacity_bytes: int
     byte_accounting: bool
     requests: int = 0
     hits: int = 0
-    misses: int = 0
     stale_misses: int = 0
     uncacheable: int = 0
     bypassed: int = 0
     hit_bytes: int = 0
-    origin_bytes: int = 0
     total_bytes: int = 0
     start_ts: float = 0.0
     end_ts: float = 0.0
@@ -167,6 +168,14 @@ class SimulationResult:
     @property
     def cacheable_requests(self) -> int:
         return self.requests - self.uncacheable
+
+    @property
+    def misses(self) -> int:
+        return self.cacheable_requests - self.hits - self.stale_misses
+
+    @property
+    def origin_bytes(self) -> int:
+        return self.total_bytes - self.hit_bytes
 
     @property
     def hit_ratio(self) -> float:
@@ -209,7 +218,7 @@ class _Engine:
     has none), last_fetch and residency_start (timestamps) and charge.
     Under LRU an entry lives for one residency; under the construction it
     lives until the managing part drops it.  changes is the change log keyed
-    by code.
+    by code, and ids the id of each code; the front end fills both.
 
     access(obj, now, charge) applies one cacheable request that takes charge
     units of capacity and returns _HIT, _STALE_MISS or _MISS.  Each eviction
@@ -217,16 +226,10 @@ class _Engine:
     built when it happens and named ids[obj].
     """
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        changes: dict[int, Sequence[float]],
-        ids: Sequence[Hashable] | None,
-        sink: EvictionSink | None,
-    ):
+    def __init__(self, config: CacheConfig, sink: EvictionSink | None):
         self.capacity = config.capacity_bytes
-        self.changes = changes  # empty when there is no change log
-        self.ids = ids
+        self.changes: dict[int, Sequence[float]] = {}  # empty when there is no change log
+        self.ids: list[Hashable] | None = []
         self.sink = sink
         self.evictions = 0
         self.bypassed = 0
@@ -241,13 +244,16 @@ class _Engine:
         for column in (self.count, self.charge, self.last_fetch, self.residency_start):
             column.frombytes(zeros)
 
-    def _fresh(self, obj: int, last_fetch: float, now: float) -> bool:
-        """Whether a copy fetched at last_fetch is still current at now."""
+    def _refetch(self, obj: int, now: float) -> bool:
+        """Whether obj's copy changed since its fetch; if so it is fetched at now."""
         times = self.changes.get(obj)
         if not times:
-            return True
+            return False
         i = bisect_right(times, now)
-        return i == 0 or times[i - 1] <= last_fetch
+        if i == 0 or times[i - 1] <= self.last_fetch[obj]:
+            return False
+        self.last_fetch[obj] = now
+        return True
 
     def _make_entry(self, obj: int, now: float, charge: int):
         self.count[obj] = 1
@@ -261,14 +267,8 @@ class _Engine:
 
 
 class _LruEngine(_Engine):
-    def __init__(
-        self,
-        config: CacheConfig,
-        changes: dict[int, Sequence[float]],
-        ids: Sequence[Hashable] | None,
-        sink: EvictionSink | None,
-    ):
-        super().__init__(config, changes, ids, sink)
+    def __init__(self, config: CacheConfig, sink: EvictionSink | None):
+        super().__init__(config, sink)
         self.entries: OrderedDict[int, None] = OrderedDict()  # the resident objects
         self.used = 0
 
@@ -278,8 +278,7 @@ class _LruEngine(_Engine):
         if n:
             count[obj] = n + 1
             self.entries.move_to_end(obj)
-            if self.changes and not self._fresh(obj, self.last_fetch[obj], now):
-                self.last_fetch[obj] = now
+            if self.changes and self._refetch(obj, now):
                 return _STALE_MISS
             return _HIT
         if charge > self.capacity:
@@ -326,32 +325,30 @@ class _ZipfEngine(_Engine):
       the order in which they last became ghosts.
 
     Besides the shared columns each object has a tick, the engine's clock at
-    its last repeat request or on becoming a ghost; its last_request; and its
-    part (_GHOST, _ACCESSORY or _KERNEL) in a bytearray.  managing counts the
-    entries.
+    its last repeat request or on becoming a ghost; its last_request; its
+    part (_GHOST, _ACCESSORY or _KERNEL) and queued, whether it has a ghost
+    heap entry, in bytearrays.  managing counts the entries.  An object's
+    heap keys only grow while its entry lives, so each lazy heap holds at
+    most one entry per object, never ahead of its key, and puts an
+    out-of-date top back under its current key: a current top is the true
+    minimum.
     """
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        changes: dict[int, Sequence[float]],
-        ids: Sequence[Hashable] | None,
-        sink: EvictionSink | None,
-    ):
-        super().__init__(config, changes, ids, sink)
+    def __init__(self, config: CacheConfig, sink: EvictionSink | None):
+        super().__init__(config, sink)
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
         self.tick = array("q")
         self.last_request = array("d")
         self.part = bytearray()
+        self.queued = bytearray()
         self.managing = 0
         self.accessory: OrderedDict[int, None] = OrderedDict()
         self.kernel_bytes = 0
         self.accessory_bytes = 0
         self._tick = 0  # repeat requests and new ghosts so far
-        # Lazy min-heaps, checked on pop: a (count, tick, obj) per kernel object,
-        # lagging its object's key, never ahead; and a (last_request, tick, obj)
-        # each time an object becomes a ghost, current while its tick is.
+        # Lazy min-heaps, checked at the top: a (count, tick, obj) per kernel
+        # object and a (last_request, tick, obj) per queued object.
         self._kernel_heap: list[tuple[int, int, int]] = []
         self._ghost_heap: list[tuple[float, int, int]] = []
         # The managing bound when it does not follow the mean charge: the
@@ -369,6 +366,7 @@ class _ZipfEngine(_Engine):
         self.tick.frombytes(zeros)
         self.last_request.frombytes(zeros)
         self.part += bytes(n)
+        self.queued += bytes(n)
 
     def _managing_bound(self) -> int:
         """Bound on managing entries, read after an admission."""
@@ -380,7 +378,9 @@ class _ZipfEngine(_Engine):
     def _to_ghost(self, obj: int):
         self.part[obj] = _GHOST
         self._tick = self.tick[obj] = self._tick + 1
-        heapq.heappush(self._ghost_heap, (self.last_request[obj], self._tick, obj))
+        if not self.queued[obj]:
+            self.queued[obj] = 1
+            heapq.heappush(self._ghost_heap, (self.last_request[obj], self._tick, obj))
 
     def _evict(self, obj: int, now: float):
         self._log_eviction(obj, now)
@@ -435,11 +435,17 @@ class _ZipfEngine(_Engine):
 
     def _enforce_managing_bound(self):
         bound = self._managing_bound()
-        heap, count, tick = self._ghost_heap, self.count, self.tick
+        heap, tick = self._ghost_heap, self.tick
         while self.managing > bound and heap:
-            _, t, obj = heapq.heappop(heap)
-            if count[obj] and tick[obj] == t:  # not requested since, nor dropped
-                count[obj] = 0
+            _, t, obj = heap[0]
+            if self.part[obj]:  # resident: queued again when it next becomes a ghost
+                heapq.heappop(heap)
+                self.queued[obj] = 0
+            elif tick[obj] != t:  # a ghost again since: back in under its current key
+                heapq.heapreplace(heap, (self.last_request[obj], tick[obj], obj))
+            else:  # the oldest ghost
+                heapq.heappop(heap)
+                self.queued[obj] = self.count[obj] = 0
                 self.managing -= 1
         # All remaining entries may be resident; those are never dropped.
 
@@ -467,10 +473,7 @@ class _ZipfEngine(_Engine):
 
         part = self.part[obj]
         if part:  # resident
-            outcome = _HIT
-            if self.changes and not self._fresh(obj, self.last_fetch[obj], now):
-                self.last_fetch[obj] = now
-                outcome = _STALE_MISS
+            outcome = _STALE_MISS if self.changes and self._refetch(obj, now) else _HIT
             if part == _ACCESSORY:
                 # Promotion: a repeat request moves it from accessory to the
                 # kernel; residency_start is kept, so residence spans both parts.
@@ -504,8 +507,11 @@ class _ZipfEngine(_Engine):
         keys = {obj: (n, t) for n, t, obj in self._kernel_heap}
         assert len(keys) == len(self._kernel_heap) and keys.keys() == kernel.keys(), "kernel heap"
         assert all(keys[o] <= key for o, key in kernel.items()), "kernel entry ahead"
-        current = {o for _, t, o in self._ghost_heap if count[o] and tick[o] == t}
-        assert current == set(members[_GHOST]), "ghost entries"
+        ghosts = {o: (self.last_request[o], tick[o]) for o in members[_GHOST]}
+        queued = {obj: (r, t) for r, t, obj in self._ghost_heap}
+        assert len(queued) == len(self._ghost_heap) and queued.keys() >= ghosts.keys(), "ghost heap"
+        assert queued.keys() == {o for o, q in enumerate(self.queued) if q} <= set(entries), "queued"
+        assert all(queued[o] <= key for o, key in ghosts.items()), "ghost entry ahead"
 
 
 def _out_of_order(now: float, last: float) -> ValueError:
@@ -527,8 +533,8 @@ class CacheSim:
     """Single-event simulator front end.
 
     ``process`` applies one record and returns the event outcome (HIT, MISS,
-    STALE_MISS or UNCACHEABLE); ``result`` finalizes counters into a
-    SimulationResult.  It is the per-event reference for ``simulate``:
+    STALE_MISS or UNCACHEABLE); ``result`` returns the counts so far as
+    a SimulationResult.  It is the per-event reference for ``simulate``:
     feeding events one by one gives exactly the result ``simulate`` gives
     over the same stream.  Object keys are opaque to the simulator: process
     interns each cacheable request's key to a dense code when it first
@@ -550,14 +556,13 @@ class CacheSim:
         self._codes: dict[Hashable, int] = {}  # process's keys, by first arrival
         engine = _LruEngine if config.policy is Policy.LRU else _ZipfEngine
         # The engine's change log by code and its id table grow as keys arrive.
-        self._engine = engine(config, {}, [], sink)
+        self._engine = engine(config, sink)
+        # Its end_ts is the last timestamp seen; requests == 0 means none yet.
         self._result = SimulationResult(
             policy=config.policy,
             capacity_bytes=config.capacity_bytes,
             byte_accounting=config.byte_accounting,
         )
-        self._last_ts: float | None = None
-        self._finalized = False
 
     def _code(self, key: Hashable) -> int:
         """key's object code, handed out on its first arrival."""
@@ -576,19 +581,17 @@ class CacheSim:
         charge = size if self.config.byte_accounting else 1
         if rec.cacheable and not -(2**63) <= charge < 2**63:
             raise OverflowError(f"charge {charge} of {rec.object_id!r} out of int64 range")
-        last = self._last_ts
-        if last is None:
-            self._result.start_ts = now
-        elif now < last:
-            raise _out_of_order(now, last)
-        self._last_ts = now
-
         r = self._result
+        if not r.requests:
+            r.start_ts = now
+        elif now < r.end_ts:
+            raise _out_of_order(now, r.end_ts)
+        r.end_ts = now
+
         r.requests += 1
         r.total_bytes += size
         if not rec.cacheable:
             r.uncacheable += 1
-            r.origin_bytes += size
             outcome = UNCACHEABLE
         else:
             outcome = _OUTCOMES[self._engine.access(self._code(rec.object_id), now, charge)]
@@ -597,10 +600,6 @@ class CacheSim:
                 r.hit_bytes += size
             elif outcome == STALE_MISS:
                 r.stale_misses += 1
-                r.origin_bytes += size
-            else:
-                r.misses += 1
-                r.origin_bytes += size
 
         if r.requests % self.config.occupancy_stride == 0:
             r.occupancy.append(self._engine.occupancy(now))
@@ -623,10 +622,9 @@ class CacheSim:
         if not n:
             return
         r = self._result
-        last = self._last_ts
-        if last is None:
-            r.start_ts = last = float(times[0])
-        pairs = np.concatenate(([last], times))
+        if not r.requests:
+            r.start_ts = r.end_ts = float(times[0])
+        pairs = np.concatenate(([r.end_ts], times))
         back = np.flatnonzero(pairs[1:] < pairs[:-1])
         if len(back):
             i = back[0]
@@ -649,33 +647,26 @@ class CacheSim:
             done = cut
         outcomes[done:] = np.fromiter(accesses, np.int8, len(outcomes) - done)
 
-        hits, stale, misses = np.bincount(outcomes, minlength=3).tolist()
-        total = _sum(sizes)
-        hit_bytes = _sum(c_sizes[outcomes == _HIT])
+        hits, stale, _ = np.bincount(outcomes, minlength=3).tolist()
         r.requests += n
-        r.total_bytes += total
+        r.total_bytes += _sum(sizes)
         r.uncacheable += n - len(cacheable)
         r.hits += hits
         r.stale_misses += stale
-        r.misses += misses
-        r.hit_bytes += hit_bytes
-        r.origin_bytes += total - hit_bytes
-        self._last_ts = float(times[-1])
+        r.hit_bytes += _sum(c_sizes[outcomes == _HIT])
+        r.end_ts = float(times[-1])
 
     def check_invariants(self):
         self._engine.check_invariants()
 
     def result(self) -> SimulationResult:
-        r = self._result
-        if self._last_ts is not None:
-            r.end_ts = self._last_ts
-        if not self._finalized:
-            self._finalized = True
-            if r.requests % self.config.occupancy_stride != 0 and self._last_ts is not None:
-                r.occupancy.append(self._engine.occupancy(self._last_ts))
-        r.evictions = self._engine.evictions
-        r.bypassed = self._engine.bypassed
-        return r
+        """A copy of the counts so far with the engine's, plus a tail occupancy
+        sample unless the last event was a sample point."""
+        r, engine = self._result, self._engine
+        tail = [engine.occupancy(r.end_ts)] if r.requests % self.config.occupancy_stride else []
+        return replace(
+            r, occupancy=r.occupancy + tail, evictions=engine.evictions, bypassed=engine.bypassed
+        )
 
 
 def replay(

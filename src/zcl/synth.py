@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import RenewalModel, mu_of_rank
-from .trace import Trace
+from .trace import SECONDS_PER_DAY, Trace
 
 __all__ = [
     "NoRenewal",
@@ -25,8 +25,6 @@ __all__ = [
     "SyntheticTrace",
     "generate_synthetic_trace",
 ]
-
-SECONDS_PER_DAY = 86_400.0
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ __all__ = [
 CSV_COLUMNS = ("timestamp_s", "client_id", "object_id", "size_bytes", "cacheable")
 CSV_OPTIONAL = "origin_hit"
 
+SECONDS_PER_DAY = 86_400.0  # timestamps are seconds; rates and lifetimes are per day
+
 # Squid action codes whose responses were served from the proxy's own store.
 DEFAULT_HIT_PREFIXES = (
     "TCP_HIT",

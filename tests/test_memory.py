@@ -12,10 +12,7 @@ The footprint cases replay a trace with no evictions, whose peak is the
 engine's per-object state plus one block's temporaries, and bound it per
 distinct cacheable object.
 
-Left out: the construction whose managing bound is never reached, whose
-lazy ghost heap gains an entry per eviction and still grows with the trace
-(1.59x from N to 3N at a universe of 1,000 and 100 objects of capacity);
-and analytics.LifetimeFold, which keeps 8 B per count-1 or count-2
+Left out: analytics.LifetimeFold, which keeps 8 B per count-1 or count-2
 eviction by design, so that the lifetime means keep their bits.
 """
 
@@ -37,15 +34,16 @@ N = 10_000
 FLOOR = 64 * 1024  # bytes: objects first seen after N, and allocator noise
 
 CONSTRUCTION_OBJECTS = 100  # a managing bound of 1,000 entries, half the universe
+SMALL_UNIVERSE = 1_000  # every object fits that bound, so it is never reached
 
 
 @pytest.fixture(scope="module")
 def csv_texts():
-    """The canonical CSV of N and of 3N requests, and the records of the first."""
+    """The canonical CSV of N and of 3N requests at each universe, and their records."""
     out = {}
-    for n in (N, 3 * N):
+    for universe, n in [(u, n) for u in (UNIVERSE, SMALL_UNIVERSE) for n in (N, 3 * N)]:
         spec = SyntheticWorkloadSpec(
-            universe_size=UNIVERSE,
+            universe_size=universe,
             zipf_alpha=0.8,
             clients=1,
             per_client_rate=float(n),
@@ -55,7 +53,7 @@ def csv_texts():
         records = generate_synthetic_trace(spec).records
         text = io.StringIO()
         write_canonical_csv(records, text)
-        out[n] = (text.getvalue(), records)
+        out[universe, n] = (text.getvalue(), records)
     return out
 
 
@@ -70,13 +68,15 @@ def fold_profile(f):
     return fold.profile()
 
 
-CASES = {
-    "lru-bytes": replay_one(CacheConfig(2_000_000)),
-    "lru-objects": replay_one(CacheConfig(200, byte_accounting=False)),
-    "construction-bound-reached": replay_one(
-        CacheConfig(CONSTRUCTION_OBJECTS, Policy.ZIPF_CONSTRUCTION, byte_accounting=False)
-    ),
-    "profile-fold": fold_profile,
+CONSTRUCTION = replay_one(
+    CacheConfig(CONSTRUCTION_OBJECTS, Policy.ZIPF_CONSTRUCTION, byte_accounting=False)
+)
+CASES = {  # the universe of the trace, and the run
+    "lru-bytes": (UNIVERSE, replay_one(CacheConfig(2_000_000))),
+    "lru-objects": (UNIVERSE, replay_one(CacheConfig(200, byte_accounting=False))),
+    "construction-bound-reached": (UNIVERSE, CONSTRUCTION),
+    "construction-bound-never-reached": (SMALL_UNIVERSE, CONSTRUCTION),
+    "profile-fold": (UNIVERSE, fold_profile),
 }
 
 
@@ -92,11 +92,15 @@ def peak(run, text):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_peak_memory_does_not_grow_with_the_trace(csv_texts, monkeypatch, case):
-    # The bound (10x capacity in objects mode) is reached within the first N.
-    text, records = csv_texts[N]
-    assert len(set(records.objects[records.cacheable].tolist())) > 10 * CONSTRUCTION_OBJECTS
+    # The bound (10x capacity in objects mode) is reached within the first N
+    # at UNIVERSE, and never at SMALL_UNIVERSE.
+    for universe, n in [(UNIVERSE, N), (SMALL_UNIVERSE, 3 * N)]:
+        records = csv_texts[universe, n][1]
+        distinct = len(set(records.objects[records.cacheable].tolist()))
+        assert (distinct > 10 * CONSTRUCTION_OBJECTS) == (universe == UNIVERSE)
+    universe, run = CASES[case]
     monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 4096)
-    short, long = (peak(CASES[case], csv_texts[n][0]) for n in (N, 3 * N))
+    short, long = (peak(run, csv_texts[universe, n][0]) for n in (N, 3 * N))
     assert long <= 1.1 * short + FLOOR, f"{short} B at {N} requests, {long} B at {3 * N}"
 
 

@@ -421,6 +421,21 @@ def test_managing_drops_oldest_last_request_first(bound, requests, kept):
     assert "".join(sorted(managing(sim))) == kept
 
 
+def test_ghost_heap_never_outgrows_the_managing_part():
+    # 1,000 objects against a bound of 10 x 100: no ghost is ever dropped,
+    # so only the one entry per ghost keeps the heap from growing per eviction.
+    spec = SyntheticWorkloadSpec(
+        universe_size=1_000, zipf_alpha=0.8, clients=1, per_client_rate=3e4, seed=5
+    )
+    sim = CacheSim(objects_config(100, Policy.ZIPF_CONSTRUCTION))
+    for r in generate_synthetic_trace(spec).records:
+        sim.process(r)
+    engine = sim._engine
+    assert sim.result().evictions > 10 * engine.managing
+    assert len(engine._ghost_heap) <= engine.managing <= engine._managing_bound()
+    sim.check_invariants()
+
+
 def test_objects_mode_managing_bound_is_ten_times_capacity_without_floor():
     # Objects mode bounds managing at 10 x 3 = 30 entries; the byte-mode
     # floor of 100 does not apply, so 50 one-off objects leave 30 entries.
@@ -477,6 +492,29 @@ def test_stale_copy_is_miss_then_fresh_again():
     assert result.hits == 2
 
 
+def test_result_is_a_copy_with_one_tail_sample():
+    # A stride of 2 over five requests: samples after the second and fourth,
+    # then a tail sample at t=70.  Misses: A at t=1 and B at t=70; origin
+    # bytes: everything but the 10-byte hit.
+    config = CacheConfig(capacity_bytes=100, occupancy_stride=2)
+    changes = {"A": [50.0]}
+    records = [rec(1, "A", 10), rec(10, "A", 10), rec(20, "U", 7, cacheable=False),
+               rec(60, "A", 10), rec(70, "B", 5)]
+    sim = CacheSim(config, changes)
+    assert [sim.process(r) for r in records] == [MISS, HIT, UNCACHEABLE, STALE_MISS, MISS]
+    first, second = sim.result(), sim.result()
+    assert first == second == simulate(records, config, changes)
+    assert [(s.timestamp, s.kernel_bytes) for s in first.occupancy] == [
+        (10.0, 10), (60.0, 10), (70.0, 15),
+    ]
+    assert (first.misses, first.stale_misses, first.uncacheable) == (2, 1, 1)
+    assert (first.hit_bytes, first.origin_bytes, first.total_bytes) == (10, 32, 42)
+    # The tail sample stays out of the series when the replay goes on.
+    sim.process(rec(80, "B", 5))
+    assert [s.timestamp for s in sim.result().occupancy] == [10.0, 60.0, 80.0]
+    assert [s.timestamp for s in first.occupancy] == [10.0, 60.0, 70.0]
+
+
 def test_stale_request_still_promotes_in_construction():
     changes = {"A": [5.0]}
     sim = CacheSim(objects_config(6, Policy.ZIPF_CONSTRUCTION), changes)
@@ -490,7 +528,7 @@ def test_stale_request_still_promotes_in_construction():
 def test_freshness_never_consulted_without_change_log(changes):
     records, _ = random_workload(5, n_events=3000)
     never = mock.patch.object(
-        simcache_module._Engine, "_fresh", side_effect=AssertionError("freshness consulted")
+        simcache_module._Engine, "_refetch", side_effect=AssertionError("freshness consulted")
     )
     for policy in Policy:
         config = CacheConfig(capacity_bytes=100_000, policy=policy)
