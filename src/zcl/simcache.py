@@ -35,14 +35,14 @@ evictions (the `--evictions-out` writer, the lifetime fold of `zcl
 analyze`, or a list's append) sees them in order, and the simulator's
 memory does not depend on who reads them.  Its access(obj, now, charge)
 applies one cacheable request; the front end that drives it resolves the
-charge, the size or 1, so no engine knows the accounting mode.  Two front
-ends drive it.  CacheSim.process takes one TraceRecord at a time, codes its
-object keys as they arrive, and is the per-event reference.  replay takes a
-stream of trace blocks (trace.Block), whose codes it uses as they are, and
-replays each one through every configuration in lockstep: numpy does the
-per-event bookkeeping (the order check, request and byte totals,
-uncacheable requests, the occupancy sample points), and Python calls access
-once per cacheable request and nothing else.  Both give identical results.
+charge, the size or 1, so no engine knows the accounting mode.  One front
+end drives it: a CacheSim applies a trace block (trace.Block) at a time,
+using its object codes as they are.  numpy does the per-event bookkeeping
+(the order check, request and byte totals, uncacheable requests, the
+occupancy sample points), and Python calls access once per cacheable
+request and nothing else.  replay runs a stream of blocks through every
+configuration in lockstep, one CacheSim each; CacheSim.process applies one
+TraceRecord as a block of one row, coding its object keys as they arrive.
 simulate and compare_policies replay a whole Trace in the blocks of
 Trace.blocks; `zcl simulate` and `zcl analyze` replay the blocks of
 trace.read_blocks as they are parsed, so they never hold the whole trace.
@@ -218,7 +218,8 @@ class _Engine:
     has none), last_fetch and residency_start (timestamps) and charge.
     Under LRU an entry lives for one residency; under the construction it
     lives until the managing part drops it.  changes is the change log keyed
-    by code, and ids the id of each code; the front end fills both.
+    by code, and ids the id of each code, held only when a sink is attached;
+    CacheSim fills both as its blocks bring new ids.
 
     access(obj, now, charge) applies one cacheable request that takes charge
     units of capacity and returns _HIT, _STALE_MISS or _MISS.  Each eviction
@@ -229,7 +230,7 @@ class _Engine:
     def __init__(self, config: CacheConfig, sink: EvictionSink | None):
         self.capacity = config.capacity_bytes
         self.changes: dict[int, Sequence[float]] = {}  # empty when there is no change log
-        self.ids: list[Hashable] | None = []
+        self.ids: list[Hashable] = []  # held only with a sink
         self.sink = sink
         self.evictions = 0
         self.bypassed = 0
@@ -514,10 +515,6 @@ class _ZipfEngine(_Engine):
         assert all(queued[o] <= key for o, key in ghosts.items()), "ghost entry ahead"
 
 
-def _out_of_order(now: float, last: float) -> ValueError:
-    return ValueError(f"records out of order: {now} after {last}")
-
-
 def _sum(values: np.ndarray) -> int:
     """Exact sum of an int64 column.
 
@@ -530,19 +527,20 @@ def _sum(values: np.ndarray) -> int:
 
 
 class CacheSim:
-    """Single-event simulator front end.
+    """One configuration's replay, a block at a time.
 
-    ``process`` applies one record and returns the event outcome (HIT, MISS,
-    STALE_MISS or UNCACHEABLE); ``result`` returns the counts so far as
-    a SimulationResult.  It is the per-event reference for ``simulate``:
-    feeding events one by one gives exactly the result ``simulate`` gives
-    over the same stream.  Object keys are opaque to the simulator: process
-    interns each cacheable request's key to a dense code when it first
-    arrives, and then takes the key's change times, if any, from changes,
-    which is keyed the same way.  sink, if given, is called with each
-    Eviction as it happens, named by the caller's key.  A byte-mode charge
-    outside int64 raises OverflowError, as Trace.from_records does for the
-    size, before the record changes anything.
+    replay applies each trace block through _replay; ``process`` applies one
+    record as a block of one row and returns the event outcome (HIT, MISS,
+    STALE_MISS or UNCACHEABLE).  ``result`` returns the counts so far as a
+    SimulationResult, so feeding records one by one gives exactly the result
+    ``simulate`` gives over the same stream.  changes is the change log by
+    the caller's ids: as a block's new ids take their codes, their change
+    times are keyed to the codes.  sink, if given, is called with each
+    Eviction as it happens, named by the caller's id, and only then is an
+    id table held.  Object keys are opaque to process: it codes each
+    record's key when it first arrives.  A size outside int64 raises
+    OverflowError, as Trace.from_records does, before the record changes
+    anything.
     """
 
     def __init__(
@@ -555,7 +553,7 @@ class CacheSim:
         self._changes = {} if changes is None else changes  # by the caller's keys
         self._codes: dict[Hashable, int] = {}  # process's keys, by first arrival
         engine = _LruEngine if config.policy is Policy.LRU else _ZipfEngine
-        # The engine's change log by code and its id table grow as keys arrive.
+        # The engine's change log by code and its id table grow as blocks bring ids.
         self._engine = engine(config, sink)
         # Its end_ts is the last timestamp seen; requests == 0 means none yet.
         self._result = SimulationResult(
@@ -564,82 +562,69 @@ class CacheSim:
             byte_accounting=config.byte_accounting,
         )
 
-    def _code(self, key: Hashable) -> int:
-        """key's object code, handed out on its first arrival."""
-        code = self._codes.get(key)
-        if code is None:
-            engine = self._engine
-            code = self._codes[key] = len(engine.ids)
-            engine.ids.append(key)
-            engine.grow(1)
-            if key in self._changes:
-                engine.changes[code] = self._changes[key]
-        return code
-
     def process(self, rec: TraceRecord) -> str:
-        now, size = rec.timestamp, rec.size_bytes
-        charge = size if self.config.byte_accounting else 1
-        if rec.cacheable and not -(2**63) <= charge < 2**63:
-            raise OverflowError(f"charge {charge} of {rec.object_id!r} out of int64 range")
-        r = self._result
-        if not r.requests:
-            r.start_ts = now
-        elif now < r.end_ts:
-            raise _out_of_order(now, r.end_ts)
-        r.end_ts = now
+        """Apply one record, as a block of one row, and return its outcome."""
+        key, size = rec.object_id, rec.size_bytes
+        if not -(2**63) <= size < 2**63:
+            raise OverflowError(f"size {size} of {key!r} out of int64 range")
+        new = () if key in self._codes else (key,)
+        code = self._codes.get(key, len(self._codes))
+        block = Block(
+            np.array([rec.timestamp], dtype=np.float64), np.array([code]), np.zeros(1, np.int32),
+            np.array([size], dtype=np.int64), np.array([rec.cacheable], dtype=bool), None, new, (),
+        )
+        outcomes = self._replay(block)
+        if new:
+            self._codes[key] = code
+        return _OUTCOMES[outcomes[0]] if rec.cacheable else UNCACHEABLE
 
-        r.requests += 1
-        r.total_bytes += size
-        if not rec.cacheable:
-            r.uncacheable += 1
-            outcome = UNCACHEABLE
-        else:
-            outcome = _OUTCOMES[self._engine.access(self._code(rec.object_id), now, charge)]
-            if outcome == HIT:
-                r.hits += 1
-                r.hit_bytes += size
-            elif outcome == STALE_MISS:
-                r.stale_misses += 1
+    def _replay(self, block: Block, requests: tuple[list, list] | None = None) -> np.ndarray:
+        """Apply a block of requests and return the outcomes of its cacheable ones.
 
-        if r.requests % self.config.occupancy_stride == 0:
-            r.occupancy.append(self._engine.occupancy(now))
-        return outcome
-
-    def _replay(
-        self, block: Block, cacheable: np.ndarray, requests: tuple[list, list, Iterable[int]]
-    ):
-        """Apply a block of requests, as process would one by one.
-
-        cacheable indexes the block's cacheable requests, and requests holds
-        their object codes and timestamps as lists, made once for every
-        configuration, and this configuration's charges.  numpy does the
-        per-event bookkeeping (order check, totals, the uncacheable
-        requests); Python runs only the engine, once per cacheable request,
-        pausing at each occupancy sample point.
+        The block's new ids take the next codes: the engine's columns grow
+        by as many rows, the change log is re-keyed to them and, with a
+        sink, they join the id table.  requests, if given, holds the
+        cacheable requests' object codes and timestamps as lists, which
+        replay makes once for every configuration; each is charged its size,
+        or 1 in objects mode.  numpy does the per-event bookkeeping (order
+        check, totals, the uncacheable requests); Python runs only the
+        engine, once per cacheable request, pausing at each occupancy sample
+        point.  An out-of-order block raises before it changes anything.
         """
         times = block.timestamps
-        n = len(times)
-        if not n:
-            return
-        r = self._result
-        if not r.requests:
-            r.start_ts = r.end_ts = float(times[0])
-        pairs = np.concatenate(([r.end_ts], times))
+        r, engine = self._result, self._engine
+        pairs = np.concatenate(([r.end_ts] if r.requests else times[:1], times))
         back = np.flatnonzero(pairs[1:] < pairs[:-1])
         if len(back):
             i = back[0]
-            raise _out_of_order(float(pairs[i + 1]), float(pairs[i]))
+            raise ValueError(f"records out of order: {float(pairs[i + 1])} after {float(pairs[i])}")
 
+        new = block.new_object_ids
+        if self._changes:
+            for code, obj in enumerate(new, len(engine.count)):
+                if obj in self._changes:
+                    engine.changes[code] = self._changes[obj]
+        if engine.sink is not None:
+            engine.ids += new
+        engine.grow(len(new))
+
+        n = len(times)
+        cacheable = np.flatnonzero(block.cacheable)
+        outcomes = np.empty(len(cacheable), dtype=np.int8)
+        if not n:
+            return outcomes
+        if requests is None:
+            requests = block.objects[cacheable].tolist(), times[cacheable].tolist()
         sizes = block.sizes
         c_sizes = sizes[cacheable]
+        charges = c_sizes.tolist() if self.config.byte_accounting else repeat(1)
         # Samples fall after every occupancy_stride-th event, uncacheable ones
         # included; each becomes a cut in the cacheable sub-stream.
         stride = self.config.occupancy_stride
         samples = np.arange((-r.requests - 1) % stride, n, stride)
         cuts = np.searchsorted(cacheable, samples, side="right")
-        accesses = map(self._engine.access, *requests)
-        outcomes = np.empty(len(cacheable), dtype=np.int8)
-        occupancy = self._engine.occupancy
+        accesses = map(engine.access, *requests, charges)
+        occupancy = engine.occupancy
         done = 0
         for cut, now in zip(cuts.tolist(), times[samples].tolist()):
             outcomes[done:cut] = np.fromiter(accesses, np.int8, cut - done)
@@ -648,6 +633,8 @@ class CacheSim:
         outcomes[done:] = np.fromiter(accesses, np.int8, len(outcomes) - done)
 
         hits, stale, _ = np.bincount(outcomes, minlength=3).tolist()
+        if not r.requests:
+            r.start_ts = float(times[0])
         r.requests += n
         r.total_bytes += _sum(sizes)
         r.uncacheable += n - len(cacheable)
@@ -655,6 +642,7 @@ class CacheSim:
         r.stale_misses += stale
         r.hit_bytes += _sum(c_sizes[outcomes == _HIT])
         r.end_ts = float(times[-1])
+        return outcomes
 
     def check_invariants(self):
         self._engine.check_invariants()
@@ -677,14 +665,10 @@ def replay(
 ) -> list[SimulationResult]:
     """Run several configurations, in config order, over one stream of trace blocks.
 
-    Each block is replayed through every configuration before the next is
-    taken, with int object codes as keys.  As each block brings its new ids,
-    every engine's columns grow by as many codes, the change log is re-keyed
-    to their codes and, when a sink is attached, they join the id table the
-    evictions are named from; with no sink no id is held.  Each
-    configuration is given the block's charges: its cacheable sizes in byte
-    accounting, 1 each in objects mode.  sinks, if given, holds one
-    eviction sink (or None) per configuration.
+    Each block is replayed through every configuration's CacheSim before the
+    next is taken, with the block's object codes and timestamps as lists
+    made once for all of them.  sinks, if given, holds one eviction sink (or
+    None) per configuration; with no sink a CacheSim holds no id.
     """
     if not configs:
         raise ValueError("need at least one configuration")
@@ -692,33 +676,12 @@ def replay(
         sinks = [None] * len(configs)
     elif len(sinks) != len(configs):
         raise ValueError(f"{len(sinks)} eviction sinks for {len(configs)} configurations")
-    ids: list[str] | None = [] if any(sink is not None for sink in sinks) else None
-    seen = 0  # codes handed out so far: the next block's first new code
-    keyed: dict[int, Sequence[float]] = {}  # the change log by code, shared by every engine
-    sims = [CacheSim(config, sink=sink) for config, sink in zip(configs, sinks)]
-    engines = [sim._engine for sim in sims]
-    for engine in engines:  # keyed by the blocks' codes, not by process's
-        engine.changes, engine.ids = keyed, ids
+    sims = [CacheSim(config, changes, sink) for config, sink in zip(configs, sinks)]
     for block in blocks:
-        new = len(block.new_object_ids)
-        if changes:
-            for code, obj in enumerate(block.new_object_ids, seen):
-                if obj in changes:
-                    keyed[code] = changes[obj]
-        seen += new
-        if ids is not None:
-            ids += block.new_object_ids
-        for engine in engines:
-            engine.grow(new)
         cacheable = np.flatnonzero(block.cacheable)
-        objects = block.objects[cacheable].tolist()
-        times = block.timestamps[cacheable].tolist()
-        charges: dict[bool, Iterable[int]] = {}  # by byte_accounting, made once per block
+        requests = block.objects[cacheable].tolist(), block.timestamps[cacheable].tolist()
         for sim in sims:
-            bytes_mode = sim.config.byte_accounting
-            if bytes_mode not in charges:
-                charges[bytes_mode] = block.sizes[cacheable].tolist() if bytes_mode else repeat(1)
-            sim._replay(block, cacheable, (objects, times, charges[bytes_mode]))
+            sim._replay(block, requests)
     return [sim.result() for sim in sims]
 
 

@@ -1,13 +1,17 @@
-"""A naive restatement of the construction policy, for differential tests.
+"""Naive restatements of the simulator, for differential tests.
 
-It follows the policy as the simcache._ZipfEngine docstring states it, with
-plain dicts and a linear scan for every victim: no heaps or lazy entries.
-One clock orders everything: it ticks at each request, at each placement
-in a part and whenever an object becomes a ghost.  It is slow on purpose
-and meant for traces of a few hundred requests.
+NaiveConstruction follows the construction policy as the
+simcache._ZipfEngine docstring states it, with plain dicts and a linear scan
+for every victim: no heaps or lazy entries.  One clock orders everything:
+it ticks at each request, at each placement in a part and whenever an
+object becomes a ghost.  NaiveLru keeps its resident objects in a plain list
+in recency order.  Tally counts, one record at a time, what a
+SimulationResult reports, with either reference deciding each outcome.
+All three are slow on purpose and meant for traces of a few hundred
+requests.
 """
 
-from zcl.simcache import HIT, MISS, STALE_MISS, UNCACHEABLE, Eviction
+from zcl.simcache import HIT, MISS, STALE_MISS, UNCACHEABLE, Eviction, OccupancySample
 
 KERNEL, ACCESSORY, GHOST = "kernel", "accessory", "ghost"
 
@@ -19,6 +23,11 @@ class _Entry:
         self.part = GHOST
         self.start = self.fetched = self.last_time = None  # timestamps
         self.last_request = self.placed = 0  # clock readings: placed in a part or as a ghost
+
+
+def changed(changes, obj, fetched, now):
+    """Whether the change log changed obj after its fetch and by now."""
+    return any(fetched < t <= now for t in changes.get(obj, ()))
 
 
 class NaiveConstruction:
@@ -88,9 +97,6 @@ class NaiveConstruction:
                                                              self.entries[o].placed))
             del self.entries[victim]
 
-    def changed(self, obj, fetched, now):
-        return any(fetched < t <= now for t in self.changes.get(obj, ()))
-
     def process(self, rec):
         if not rec.cacheable:
             return UNCACHEABLE
@@ -113,9 +119,98 @@ class NaiveConstruction:
             self.place(obj, KERNEL, now)
             return MISS
         outcome = HIT
-        if self.changed(obj, e.fetched, now):
+        if changed(self.changes, obj, e.fetched, now):
             e.fetched = now
             outcome = STALE_MISS
         if e.part == ACCESSORY:  # promotion; the residency goes on
             self.place(obj, KERNEL, now)
         return outcome
+
+    def occupancy(self, now):
+        kernel, accessory = (sum(self.entries[o].charge for o in self.members(p))
+                             for p in (KERNEL, ACCESSORY))
+        return OccupancySample(now, kernel, accessory, len(self.entries))
+
+
+class NaiveLru:
+    """LRU: a hit moves its object to the back, a miss puts it there and
+    evicts from the front while the resident charges exceed capacity; an
+    object bigger than capacity is bypassed.  An entry lives for one
+    residency and counts its requests."""
+
+    def __init__(self, config, changes=None):
+        self.config = config
+        self.changes = changes or {}
+        self.recency = []  # resident objects, least recently requested first
+        self.entries = {}
+        self.evictions = []
+        self.bypassed = 0
+
+    def process(self, rec):
+        if not rec.cacheable:
+            return UNCACHEABLE
+        obj, now = rec.object_id, rec.timestamp
+        charge = rec.size_bytes if self.config.byte_accounting else 1
+        e = self.entries.get(obj)
+        if e is not None:
+            e.count += 1
+            self.recency.remove(obj)
+            self.recency.append(obj)
+            if changed(self.changes, obj, e.fetched, now):
+                e.fetched = now
+                return STALE_MISS
+            return HIT
+        if charge > self.config.capacity_bytes:
+            self.bypassed += 1
+            return MISS
+        e = self.entries[obj] = _Entry(charge)
+        e.start = e.fetched = now
+        self.recency.append(obj)
+        while sum(self.entries[o].charge for o in self.recency) > self.config.capacity_bytes:
+            victim = self.recency.pop(0)
+            gone = self.entries.pop(victim)
+            self.evictions.append(Eviction(victim, gone.start, now, gone.count))
+        return MISS
+
+    def occupancy(self, now):
+        return OccupancySample(now, sum(self.entries[o].charge for o in self.recency), 0, 0)
+
+
+class Tally:
+    """A SimulationResult's fields, counted one record at a time.
+
+    add takes each record with its outcome and the reference that decided
+    it, which it reads an occupancy sample off after every stride-th record;
+    fields adds a tail sample unless the last record was a sample point.
+    """
+
+    def __init__(self, stride):
+        self.stride = stride
+        self.counts = dict.fromkeys(
+            ["requests", "hits", "misses", "stale_misses", "uncacheable", "hit_bytes",
+             "origin_bytes", "total_bytes"], 0)
+        self.start_ts = self.end_ts = 0.0
+        self.occupancy = []
+
+    def add(self, rec, outcome, reference):
+        c = self.counts
+        if not c["requests"]:
+            self.start_ts = rec.timestamp
+        self.end_ts = rec.timestamp
+        c["requests"] += 1
+        c["total_bytes"] += rec.size_bytes
+        key = {HIT: "hits", MISS: "misses", STALE_MISS: "stale_misses",
+               UNCACHEABLE: "uncacheable"}[outcome]
+        c[key] += 1
+        if outcome == HIT:
+            c["hit_bytes"] += rec.size_bytes
+        else:
+            c["origin_bytes"] += rec.size_bytes
+        if c["requests"] % self.stride == 0:
+            self.occupancy.append(reference.occupancy(rec.timestamp))
+
+    def fields(self, reference):
+        tail = [reference.occupancy(self.end_ts)] if self.counts["requests"] % self.stride else []
+        return {**self.counts, "start_ts": self.start_ts, "end_ts": self.end_ts,
+                "evictions": len(reference.evictions), "bypassed": reference.bypassed,
+                "occupancy": self.occupancy + tail}

@@ -4,10 +4,11 @@ import re
 from typing import NamedTuple
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from naive_construction import ACCESSORY, GHOST, KERNEL, NaiveConstruction
+from naive_construction import ACCESSORY, GHOST, KERNEL, NaiveConstruction, NaiveLru, Tally
 
 from zcl import model
 from zcl import simcache as simcache_module
@@ -270,10 +271,12 @@ def test_process_rejects_a_charge_beyond_int64(policy):
     result = sim.result()
     assert (result.requests, result.misses, result.total_bytes) == (2, 1, 10)
     sim.check_invariants()
-    # Objects mode charges 1 whatever the size; an uncacheable request no charge.
+    # Objects mode and an uncacheable request reject the size too, as a Trace does.
     objects = CacheSim(objects_config(2, policy))
-    assert objects.process(huge) == MISS
-    assert objects.process(rec(3, "C", size=2**64, cacheable=False)) == UNCACHEABLE
+    with pytest.raises(OverflowError):
+        objects.process(huge)
+    with pytest.raises(OverflowError):
+        objects.process(rec(3, "C", size=2**64, cacheable=False))
 
 
 # --- segmented construction -------------------------------------------------------
@@ -599,17 +602,18 @@ def test_unbounded_cache_matches_wolman_integral():
     expected = model.wolman_hit_ratio(
         model.WolmanParams(universe=n, alpha=alpha, request_rate=rate, change_rate=mu)
     )
+    # A replay's prefix is the replay of the prefix, so the requests after the
+    # warm-up are the whole trace's less the warm-up's.
+    trace = out.records
+    warm = int(np.searchsorted(trace.timestamps, warmup_s))
     for policy in Policy:
         # Each part of the construction cache, a third or two thirds of
         # capacity, also holds the whole universe, so nothing is evicted.
-        sim = CacheSim(objects_config(100 * n, policy), out.changes)
-        hits = requests = 0
-        for record in out.records:
-            outcome = sim.process(record)
-            if record.timestamp >= warmup_s and record.cacheable:
-                requests += 1
-                hits += outcome == HIT
-        assert sim.result().evictions == 0
+        config = objects_config(100 * n, policy)
+        before, whole = (simulate(part, config, out.changes) for part in (trace[:warm], trace))
+        assert whole.evictions == 0
+        hits = whole.hits - before.hits
+        requests = whole.cacheable_requests - before.cacheable_requests
         assert hits / requests == pytest.approx(expected, abs=3e-3)
 
 
@@ -817,6 +821,30 @@ def test_construction_equals_the_naive_reference(case):
         sim.check_invariants()
     assert log == naive.evictions
     assert [e.count == 1 for e in log] == [p == ACCESSORY for p in naive.evicted_from]
+
+
+@given(case=replay_cases())
+@settings(max_examples=300, deadline=None)
+def test_simulate_equals_the_naive_references(case):
+    """CacheSim.process against NaiveLru or NaiveConstruction event for event
+    (the outcome, the evictions so far and the bypass count), then simulate
+    against a per-record Tally of the references' outcomes, field for field."""
+    records, changes, config = case
+    lru = config.policy is Policy.LRU
+    naive = (NaiveLru if lru else NaiveConstruction)(config, changes)
+    sim, log = logged_sim(config, changes)
+    tally = Tally(config.occupancy_stride)
+    for r in records:
+        outcome = naive.process(r)
+        assert sim.process(r) == outcome
+        assert len(log) == len(naive.evictions)
+        assert sim._engine.bypassed == naive.bypassed
+        tally.add(r, outcome, naive)
+    assert log == naive.evictions
+    got, got_log = simulate_logged(records, config, changes)
+    assert got_log == naive.evictions
+    expected = tally.fields(naive)
+    assert {name: getattr(got, name) for name in expected} == expected
 
 
 @pytest.mark.parametrize("policy", list(Policy))
