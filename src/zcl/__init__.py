@@ -16,7 +16,6 @@ from .analytics import (
     build_popularity_profile,
     compute_cacheable_fraction,
     estimate_alpha,
-    measure_lifetimes,
     merge_profiles,
     renewal_observables,
 )
@@ -37,7 +36,7 @@ from .model import (
     wolman_hit_ratio,
     zipf_normalization,
 )
-from .simcache import CacheConfig, CacheSim, Policy, SimulationResult, compare_policies, simulate
+from .simcache import CacheConfig, CacheSim, Policy, SimulationResult, simulate
 from .synth import (
     NoRenewal,
     RankDependentRenewal,

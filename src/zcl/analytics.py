@@ -39,7 +39,6 @@ __all__ = [
     "estimate_alpha",
     "compute_cacheable_fraction",
     "renewal_observables",
-    "measure_lifetimes",
     "lifetimes_from_evictions",
     "merge_profiles",
     "alpha_growth_constant",
@@ -325,22 +324,6 @@ def lifetimes_from_evictions(evictions) -> LifetimeStats:
     fold = LifetimeFold()
     for eviction in evictions:
         fold.add(eviction)
-    return fold.stats()
-
-
-def measure_lifetimes(records, config, changes=None) -> LifetimeStats:
-    """Replay the stream through the simulator and time the evictions.
-
-    Residence is eviction time minus insertion time of the same residency;
-    which evictions happen is entirely the policy's business, so the numbers
-    are deterministic for a deterministic policy and trace.  The records (a
-    Trace, or any record iterable) are replayed in the blocks of
-    Trace.blocks, with a LifetimeFold as the eviction sink.
-    """
-    from .simcache import replay
-
-    fold = LifetimeFold()
-    replay(Trace.from_records(records).blocks(), [config], changes, [fold.add])
     return fold.stats()
 
 

@@ -317,12 +317,12 @@ def ideal_hit_ratio_with_renewal(alpha: float, alpha_r: float) -> float:
     """Ideal hit-ratio bound corrected for document renewal.
 
     Multiplies the static bound by (1-alpha)/(1-alpha_r), which is <= 1
-    whenever alpha_r <= alpha: renewal can only spoil hits.
+    since alpha_r must not exceed alpha: renewal can only spoil hits.
     """
     _check_alpha(alpha)
-    if alpha_r >= 1.0:
-        raise ValueError(f"alpha_r must be < 1, got {alpha_r}")
     _check_alpha(alpha_r, "alpha_r")
+    if alpha_r > alpha:
+        raise ValueError(f"alpha_r ({alpha_r}) must not exceed alpha ({alpha})")
     return ideal_hit_ratio(alpha) * (1.0 - alpha) / (1.0 - alpha_r)
 
 

@@ -43,9 +43,9 @@ occupancy sample points), and Python calls access once per cacheable
 request and nothing else.  replay runs a stream of blocks through every
 configuration in lockstep, one CacheSim each; CacheSim.process applies one
 TraceRecord as a block of one row, coding its object keys as they arrive.
-simulate and compare_policies replay a whole Trace in the blocks of
-Trace.blocks; `zcl simulate` and `zcl analyze` replay the blocks of
-trace.read_blocks as they are parsed, so they never hold the whole trace.
+simulate replays a whole Trace in the blocks of Trace.blocks; `zcl
+simulate` and `zcl analyze` replay the blocks of trace.read_blocks as they
+are parsed, so they never hold the whole trace.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ __all__ = [
     "SimulationResult",
     "CacheSim",
     "simulate",
-    "compare_policies",
     "replay",
     "HIT",
     "MISS",
@@ -695,13 +694,4 @@ def simulate(
     The records (a Trace, or any record iterable, converted once) are
     replayed in the blocks of Trace.blocks; see replay.
     """
-    return compare_policies(records, [config], changes)[0]
-
-
-def compare_policies(
-    records: Iterable[TraceRecord],
-    configs: Sequence[CacheConfig],
-    changes: dict[str, Sequence[float]] | None = None,
-) -> list[SimulationResult]:
-    """Simulate several configurations, in config order, over the identical record stream."""
-    return replay(Trace.from_records(records).blocks(), configs, changes)
+    return replay(Trace.from_records(records).blocks(), [config], changes)[0]

@@ -177,15 +177,17 @@ class NaiveLru:
 
 
 class Tally:
-    """A SimulationResult's fields, counted one record at a time.
+    """One config's SimulationResult fields and derived counts, counted one
+    record at a time.
 
     add takes each record with its outcome and the reference that decided
     it, which it reads an occupancy sample off after every stride-th record;
     fields adds a tail sample unless the last record was a sample point.
     """
 
-    def __init__(self, stride):
-        self.stride = stride
+    def __init__(self, config):
+        self.config = config
+        self.stride = config.occupancy_stride
         self.counts = dict.fromkeys(
             ["requests", "hits", "misses", "stale_misses", "uncacheable", "hit_bytes",
              "origin_bytes", "total_bytes"], 0)
@@ -211,6 +213,9 @@ class Tally:
 
     def fields(self, reference):
         tail = [reference.occupancy(self.end_ts)] if self.counts["requests"] % self.stride else []
-        return {**self.counts, "start_ts": self.start_ts, "end_ts": self.end_ts,
+        c = self.config
+        return {"policy": c.policy, "capacity_bytes": c.capacity_bytes,
+                "byte_accounting": c.byte_accounting, **self.counts,
+                "start_ts": self.start_ts, "end_ts": self.end_ts,
                 "evictions": len(reference.evictions), "bypassed": reference.bypassed,
                 "occupancy": self.occupancy + tail}

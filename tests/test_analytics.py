@@ -16,7 +16,6 @@ from zcl.analytics import (
     compute_cacheable_fraction,
     estimate_alpha,
     lifetimes_from_evictions,
-    measure_lifetimes,
     merge_profiles,
     renewal_observables,
 )
@@ -379,7 +378,9 @@ def test_growth_constant_equal_windows_error():
 def test_lifetime_single_eviction_after_one_day():
     config = CacheConfig(capacity_bytes=1, policy=Policy.LRU, byte_accounting=False)
     records = [rec(0.0, "A"), rec(DAY, "B")]
-    stats = measure_lifetimes(records, config)
+    fold = LifetimeFold()
+    replay(Trace.from_records(records).blocks(), [config], None, [fold.add])
+    stats = fold.stats()
     assert stats.t_u.mean_days == pytest.approx(1.0)
     assert stats.t_u.count == 1
     assert stats.t_u.stderr_days is None
@@ -394,7 +395,9 @@ def test_lifetime_single_eviction_after_one_day():
 def test_lifetime_no_evictions_at_infinite_capacity():
     config = CacheConfig(capacity_bytes=10**15, policy=Policy.LRU)
     records = [rec(i * 10.0, f"o{i % 5}") for i in range(100)]
-    stats = measure_lifetimes(records, config)
+    fold = LifetimeFold()
+    replay(Trace.from_records(records).blocks(), [config], None, [fold.add])
+    stats = fold.stats()
     assert stats.t_u.count == 0 and stats.t_u.mean_days is None
     assert stats.t_eff.count == 0
 
@@ -419,15 +422,16 @@ def test_lifetime_fold_as_sink_equals_grouping_the_eviction_list(policy):
     rng = random.Random(5)
     records = [rec(t * 600.0, f"o{int(rng.paretovariate(0.8)) % 300}") for t in range(5000)]
     config = CacheConfig(capacity_bytes=40, policy=policy, byte_accounting=False)
-    evictions, fold = [], LifetimeFold()
+    evictions, fold, alone = [], LifetimeFold(), LifetimeFold()
     replay(Trace.from_records(records).blocks(), [config, config], None,
            [evictions.append, fold.add])
+    replay(Trace.from_records(records).blocks(), [config], None, [alone.add])
     for count, sample in ((1, fold.stats().t_u), (2, fold.stats().t_eff)):
         durations = np.array([e.duration_days for e in evictions if e.count == count])
         assert sample.count == len(durations) >= 2
         assert sample.mean_days == float(durations.mean())
         assert sample.stderr_days == float(durations.std(ddof=1) / math.sqrt(len(durations)))
-    assert fold.stats() == lifetimes_from_evictions(evictions) == measure_lifetimes(records, config)
+    assert fold.stats() == lifetimes_from_evictions(evictions) == alone.stats()
 
 
 # --- measurement summary ---------------------------------------------------------------

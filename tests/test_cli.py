@@ -582,6 +582,11 @@ def test_model_rejects_out_of_range_alpha():
     assert main(["model", "ideal-hit", "--alpha", "1.5"]) == 2
 
 
+def test_model_renewal_bound_rejects_alpha_r_above_alpha(capsys):
+    assert main(["model", "ideal-hit-renewal", "--alpha", "0.7", "--alpha-r", "0.8"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # --- report ---------------------------------------------------------------------
 
 

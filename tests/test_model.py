@@ -247,6 +247,12 @@ def test_renewal_bound_rejects_unit_alpha_r():
         model.ideal_hit_ratio_with_renewal(0.8, 1.0)
 
 
+def test_renewal_bound_rejects_alpha_r_above_alpha():
+    # Its factor (1 - alpha) / (1 - alpha_r) would lift the bound above 1.
+    with pytest.raises(ValueError, match="must not exceed alpha"):
+        model.ideal_hit_ratio_with_renewal(0.7, 0.8)
+
+
 # --- expected hit ratio and scaling ------------------------------------------
 
 

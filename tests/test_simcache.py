@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 import re
@@ -23,7 +24,7 @@ from zcl.simcache import (
     CacheSim,
     Eviction,
     Policy,
-    compare_policies,
+    SimulationResult,
     replay,
     simulate,
 )
@@ -696,80 +697,6 @@ def cache_configs(policies):
     )
 
 
-def process_checked(records, config, changes):
-    """CacheSim.process over records, checking the engine after every event,
-    and the list of its evictions.
-
-    After each admission the managing part must be within its bound, unless
-    no ghost was left to drop: only admissions enforce the bound.
-    """
-    sim, log = logged_sim(config, changes)
-    zipf = config.policy is Policy.ZIPF_CONSTRUCTION
-    for r in records:
-        admitting = zipf and r.cacheable and r.object_id not in managing(sim)
-        sim.process(r)
-        sim.check_invariants()
-        if admitting:
-            entries = managing(sim)
-            assert len(entries) <= sim._engine._managing_bound() or all(
-                stats.resident for stats in entries.values()
-            )
-    result = sim.result()
-    assert result.evictions == len(log)
-    return result, log
-
-
-@given(case=replay_cases())
-@settings(max_examples=300, deadline=None)
-def test_simulate_equals_per_event_process(case):
-    """simulate over a Trace (int keys) against CacheSim.process over records (id keys)."""
-    records, changes, config = case
-    expected, expected_log = process_checked(records, config, changes)
-    for block in (1, 7, 1 << 16):  # replay blocks of one, several and all requests
-        with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
-            assert simulate(Trace.from_records(records), config, changes) == expected
-            got, log = simulate_logged(Trace.from_records(records), config, changes)
-        assert got == expected
-        assert log == expected_log
-        assert got.occupancy == expected.occupancy
-
-
-@given(case=replay_cases(), data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_lockstep_replay_equals_per_config_process(case, data):
-    """compare_policies and replay over CSV blocks, every config in one pass,
-    against one CacheSim.process run per config."""
-    records, changes, _ = case
-    configs = [
-        data.draw(cache_configs(st.just(Policy.LRU))),
-        data.draw(cache_configs(st.just(Policy.ZIPF_CONSTRUCTION))),
-    ]
-    configs += data.draw(st.lists(cache_configs(st.sampled_from(list(Policy))), max_size=1))
-    configs = data.draw(st.permutations(configs))
-    changes = data.draw(st.sampled_from([changes, None]))
-    expected, expected_logs = map(list, zip(*(
-        process_checked(records, config, changes) for config in configs
-    )))
-    text = io.StringIO()
-    write_canonical_csv(records, text)
-    for block in (1, 7, 1 << 16):
-        with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
-            assert compare_policies(Trace.from_records(records), configs, changes) == expected
-            whole, logs = logged_replay(Trace.from_records(records).blocks(), configs, changes)
-        assert whole == expected
-        assert logs == expected_logs  # one list per config, in config order
-        # Streamed blocks bring their ids one block at a time.
-        with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
-            streamed, logs = logged_replay(
-                read_blocks(io.StringIO(text.getvalue())), configs, changes
-            )
-        assert streamed == expected
-        assert logs == expected_logs
-        # With no sink no id table is held; the change log is keyed all the same.
-        with mock.patch.object(trace_module, "_BLOCK_ROWS", block):
-            assert replay(read_blocks(io.StringIO(text.getvalue())), configs, changes) == expected
-
-
 @st.composite
 def construction_cases(draw):
     """Up to 200 requests over up to 30 objects, many at tied timestamps, with
@@ -823,28 +750,65 @@ def test_construction_equals_the_naive_reference(case):
     assert [e.count == 1 for e in log] == [p == ACCESSORY for p in naive.evicted_from]
 
 
-@given(case=replay_cases())
+@given(case=replay_cases(), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_simulate_equals_the_naive_references(case):
-    """CacheSim.process against NaiveLru or NaiveConstruction event for event
-    (the outcome, the evictions so far and the bypass count), then simulate
-    against a per-record Tally of the references' outcomes, field for field."""
+def test_simulate_equals_the_naive_references(case, data):
+    """Every replay path against NaiveLru or NaiveConstruction.
+
+    Per config, CacheSim.process steps with its reference event for event
+    (the outcome, the evictions so far and the bypass count), checking the
+    engine after every event and the managing bound after every admission,
+    unless no ghost was left to drop; a Tally counts the reference's result.
+    Then replay runs every config in one pass over Trace blocks and streamed
+    CSV blocks of 1, 7 and 65,536 rows, with list sinks and with none, and
+    each config's result and evictions must be its reference's.
+    """
     records, changes, config = case
-    lru = config.policy is Policy.LRU
-    naive = (NaiveLru if lru else NaiveConstruction)(config, changes)
-    sim, log = logged_sim(config, changes)
-    tally = Tally(config.occupancy_stride)
-    for r in records:
-        outcome = naive.process(r)
-        assert sim.process(r) == outcome
-        assert len(log) == len(naive.evictions)
-        assert sim._engine.bypassed == naive.bypassed
-        tally.add(r, outcome, naive)
-    assert log == naive.evictions
-    got, got_log = simulate_logged(records, config, changes)
-    assert got_log == naive.evictions
-    expected = tally.fields(naive)
-    assert {name: getattr(got, name) for name in expected} == expected
+    configs = [config, *data.draw(st.lists(cache_configs(st.sampled_from(list(Policy))),
+                                           max_size=2))]
+    changes = data.draw(st.sampled_from([changes, None]))
+    expected, expected_logs = [], []
+    for config in configs:
+        zipf = config.policy is Policy.ZIPF_CONSTRUCTION
+        naive = (NaiveConstruction if zipf else NaiveLru)(config, changes)
+        sim, log = logged_sim(config, changes)
+        tally = Tally(config)
+        for r in records:
+            admitting = zipf and r.cacheable and r.object_id not in managing(sim)
+            outcome = naive.process(r)
+            assert sim.process(r) == outcome
+            assert len(log) == len(naive.evictions)
+            assert sim._engine.bypassed == naive.bypassed
+            sim.check_invariants()
+            if admitting:
+                entries = managing(sim)
+                assert len(entries) <= sim._engine._managing_bound() or all(
+                    entry.resident for entry in entries.values()
+                )
+            tally.add(r, outcome, naive)
+        assert log == naive.evictions
+        expected.append(tally.fields(naive))
+        expected_logs.append(naive.evictions)
+    assert {f.name for f in dataclasses.fields(SimulationResult)} <= expected[0].keys()
+
+    def tallied(results):
+        return [{name: getattr(r, name) for name in expected[0]} for r in results]
+
+    text = io.StringIO()
+    write_canonical_csv(records, text)
+    sources = [
+        lambda: Trace.from_records(records).blocks(),
+        lambda: read_blocks(io.StringIO(text.getvalue())),  # ids arrive a block at a time
+    ]
+    for rows in (1, 7, 1 << 16):
+        with mock.patch.object(trace_module, "_BLOCK_ROWS", rows):
+            for blocks in sources:
+                results, logs = logged_replay(blocks(), configs, changes)
+                assert tallied(results) == expected
+                assert logs == expected_logs  # one list per config, in config order
+                # With no sink no id table is held; the change log is keyed all the same.
+                assert tallied(replay(blocks(), configs, changes)) == expected
+    assert tallied([simulate(records, configs[0], changes)]) == expected[:1]
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -868,28 +832,9 @@ def test_occupancy_never_exceeds_capacity():
 # --- policy comparison -----------------------------------------------------------------
 
 
-def test_compare_single_config_equals_simulate():
-    records, _ = random_workload(13, n_events=2000)
-    config = CacheConfig(capacity_bytes=30_000)
-    logs = []
-
-    def replay_logged(blocks, configs, changes=None):
-        logs.append([])
-        return replay(blocks, configs, changes, [logs[-1].append])
-
-    # Both wrap replay; each call gets a list sink for its one config.
-    with mock.patch.object(simcache_module, "replay", replay_logged):
-        (via_compare,) = compare_policies(records, [config])
-        direct = simulate(records, config)
-    assert via_compare == direct
-    via_compare_log, direct_log = logs
-    assert via_compare_log == direct_log
-    assert len(direct_log) == direct.evictions > 0
-
-
 def test_compare_empty_config_list_rejected():
     with pytest.raises(ValueError):
-        compare_policies([], [])
+        replay(Trace.from_records([]).blocks(), [])
 
 
 def test_replay_takes_one_sink_per_config():
@@ -919,7 +864,7 @@ def test_compare_policies_on_zipf_day_capacity():
         objects_config(day_objects, Policy.LRU),
         objects_config(day_objects, Policy.ZIPF_CONSTRUCTION),
     ]
-    lru, seg = compare_policies(records, configs)
+    lru, seg = replay(records.blocks(), configs)
     assert 0.0 < lru.hit_ratio < 1.0
     assert 0.0 < seg.hit_ratio < 1.0
     assert lru.requests == seg.requests == len(records)
