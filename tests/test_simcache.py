@@ -843,6 +843,22 @@ def test_replay_takes_one_sink_per_config():
         replay(Trace.from_records([rec(0, "A")]).blocks(), [config, config], None, [print])
 
 
+def test_replay_mixes_configs_with_and_without_a_sink():
+    """One config with a sink beside sink-less ones, which hold no id table,
+    in one replay over blocks that each bring new ids: every result, and the
+    one log, is what the replay with a sink per config gives."""
+    records, changes = random_workload(23, n_events=3000)
+    configs = [CacheConfig(capacity_bytes=30_000, policy=policy) for policy in Policy]
+    trace = Trace.from_records(records)
+    with mock.patch.object(trace_module, "_BLOCK_ROWS", 97):
+        full, full_logs = logged_replay(trace.blocks(), configs, changes)
+        for logged in range(len(configs)):
+            log = []
+            sinks = [log.append if i == logged else None for i in range(len(configs))]
+            assert replay(trace.blocks(), configs, changes, sinks) == full
+            assert log == full_logs[logged] and log
+
+
 def test_empty_record_stream_yields_zero_result():
     result = simulate([], objects_config(5))
     assert result.requests == 0
