@@ -23,7 +23,6 @@ from .model import (
     RenewalModel,
     TwoValuedChangeRate,
     WolmanParams,
-    ZipfLaw,
     expected_hit_ratio,
     hit_scaling,
     ideal_hit_ratio,
@@ -37,14 +36,7 @@ from .model import (
     zipf_normalization,
 )
 from .simcache import CacheConfig, CacheSim, Policy, SimulationResult, simulate
-from .synth import (
-    NoRenewal,
-    RankDependentRenewal,
-    SyntheticTrace,
-    SyntheticWorkloadSpec,
-    TwoValuedRenewal,
-    generate_synthetic_trace,
-)
+from .synth import SyntheticTrace, SyntheticWorkloadSpec, generate_synthetic_trace
 from .trace import (
     Trace,
     TraceFormatError,

@@ -282,17 +282,18 @@ def cmd_analyze(args, manifest) -> int:
     return EXIT_OK
 
 
-def _parse_renewal(args) -> synth.NoRenewal | synth.TwoValuedRenewal | synth.RankDependentRenewal:
+def _parse_renewal(args) -> model.ChangeRate:
     if args.renewal == "none":
-        return synth.NoRenewal()
+        return 0.0
     if args.renewal == "rank":
         if args.alpha_r is None:
             raise InputError("--renewal rank needs --alpha-r")
-        return synth.RankDependentRenewal(alpha_r=args.alpha_r, window_days=args.renewal_window)
+        window = args.days if args.renewal_window is None else args.renewal_window
+        return model.RenewalModel(args.alpha, args.alpha_r, window, args.universe)
     if args.renewal == "two":
         if None in (args.mu_popular, args.mu_unpopular, args.popular_cutoff):
             raise InputError("--renewal two needs --mu-popular, --mu-unpopular, --popular-cutoff")
-        return synth.TwoValuedRenewal(args.mu_popular, args.mu_unpopular, args.popular_cutoff)
+        return model.TwoValuedChangeRate(args.mu_popular, args.mu_unpopular, args.popular_cutoff)
     raise InputError(f"unknown renewal kind {args.renewal!r}")
 
 

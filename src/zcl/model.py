@@ -27,18 +27,19 @@ implications", INFOCOM 1999 (popularity law).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
+
+import numpy as np
 
 from .quadrature import adaptive_simpson
 
 __all__ = [
-    "ZipfLaw",
     "WolmanParams",
     "TwoValuedChangeRate",
     "RenewalModel",
     "KernelAccessoryRatio",
+    "check_change_rate",
     "zipf_normalization",
     "zipf_integral",
     "wolman_hit_ratio",
@@ -81,54 +82,38 @@ def zipf_integral(alpha: float, upper: float, lower: float = 1.0) -> float:
 
 
 @dataclass(frozen=True)
-class ZipfLaw:
-    """A concrete Zipf-like popularity law theta_i = A / i**alpha.
-
-    Attributes
-    ----------
-    alpha : float
-        Exponent in (0, 1).
-    universe : float
-        Number of ranked objects (the law is treated as continuous in rank).
-    A : float
-        Normalization constant; ``normalized`` builds the instance whose
-        probabilities integrate to one over [1, universe].
-    """
-
-    alpha: float
-    universe: float
-    A: float
-
-    @classmethod
-    def normalized(cls, alpha: float, universe: float) -> "ZipfLaw":
-        return cls(alpha, universe, zipf_normalization(alpha, universe))
-
-    def theta(self, rank: float) -> float:
-        """Relative request probability of the object at ``rank``."""
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        return self.A / rank**self.alpha
-
-    def cumulative(self, rank: float) -> float:
-        """integral(theta, 1..rank): request mass of the top ``rank`` objects."""
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        return self.A * zipf_integral(self.alpha, rank)
-
-
-@dataclass(frozen=True)
 class TwoValuedChangeRate:
-    """Document change rate with one value for popular and one for unpopular ranks."""
+    """Document change rate with one value for popular and one for unpopular ranks.
+
+    Ranks up to ``popular_cutoff`` change at ``mu_popular``, the rest at
+    ``mu_unpopular``.  Called on a rank or a numpy array of ranks.
+    """
 
     mu_popular: float
     mu_unpopular: float
     popular_cutoff: float
 
-    def __call__(self, rank: float) -> float:
-        return self.mu_popular if rank <= self.popular_cutoff else self.mu_unpopular
+    def __post_init__(self):
+        if not (self.mu_popular >= 0 and self.mu_unpopular >= 0):
+            raise ValueError(
+                f"change rates must be non-negative, got {self.mu_popular} and {self.mu_unpopular}"
+            )
+        if not self.popular_cutoff >= 1:
+            raise ValueError(f"popular cutoff must be >= 1, got {self.popular_cutoff}")
+
+    def __call__(self, rank):
+        return np.where(rank <= self.popular_cutoff, self.mu_popular, self.mu_unpopular)
 
 
+# A float is a rate that does not depend on rank; a law is called on a rank
+# or a numpy array of ranks.  wolman_hit_ratio and the generator take both.
 ChangeRate = Union[float, TwoValuedChangeRate, Callable[[float], float]]
+
+
+def check_change_rate(rate: ChangeRate) -> None:
+    """Reject a float rate that is not >= 0, NaN included; a law checks itself."""
+    if not (callable(rate) or rate >= 0):
+        raise ValueError(f"change rate must be >= 0, got {rate}")
 
 # wolman_hit_ratio's quadrature tolerance and subdivision cap, and the band
 # by which its value may overshoot [0, 1] before that counts as a defect.
@@ -149,7 +134,7 @@ class WolmanParams:
         Popularity exponent in (0, 1).
     request_rate : float
         Aggregate request rate lambda*N of the collective user, requests/day.
-    change_rate : float | TwoValuedChangeRate | callable
+    change_rate : float | TwoValuedChangeRate | RenewalModel | callable
         Document change rate mu as a function of rank, per day.  A bare
         float means a rank-independent rate.
     """
@@ -187,11 +172,13 @@ def wolman_hit_ratio(params: WolmanParams) -> float:
     n = params.universe
     alpha = params.alpha
     rate = params.request_rate
-    if n < 2:
+    # Written as `not x >= bound` so that NaN is rejected too.
+    if not n >= 2:
         raise ValueError(f"universe size must be >= 2, got {n}")
     _check_alpha(alpha)
-    if rate < 0:
+    if not rate >= 0:
         raise ValueError(f"request rate must be >= 0, got {rate}")
+    check_change_rate(params.change_rate)
 
     C = zipf_integral(alpha, n)
 
@@ -214,7 +201,7 @@ def wolman_hit_ratio(params: WolmanParams) -> float:
     )
     if not -_WOLMAN_BAND <= value <= 1.0 + _WOLMAN_BAND:
         raise ArithmeticError(f"hit ratio {value} escaped [0, 1]")
-    return min(max(value, 0.0), 1.0)
+    return float(min(max(value, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -226,7 +213,10 @@ class RenewalModel:
     flatter with exponent ``alpha_r`` <= alpha; the per-rank difference in
     (tail-normalized) request counts, spread over the window, is the
     document change rate mu(i).  mu is zero at rank p exactly and grows
-    toward popular ranks.
+    toward popular ranks.  An instance is itself the law: calling it on a
+    rank or a numpy array of ranks returns ``mu_of_rank(self, rank)``, so it
+    serves both as ``WolmanParams.change_rate`` and as the generator's
+    renewal.
 
     Attributes
     ----------
@@ -250,14 +240,17 @@ class RenewalModel:
             raise ValueError(
                 f"alpha_r ({self.alpha_r}) must not exceed alpha ({self.alpha})"
             )
-        if self.window_days <= 0:
+        if not self.window_days > 0:
             raise ValueError(f"window must be positive, got {self.window_days}")
-        if self.universe < 1:
+        if not self.universe >= 1:
             raise ValueError(f"universe must be >= 1, got {self.universe}")
 
+    def __call__(self, rank):
+        return mu_of_rank(self, rank)
 
-def mu_of_rank(model: RenewalModel, rank: float) -> float:
-    """Document change rate mu(rank) in 1/days.
+
+def mu_of_rank(model: RenewalModel, rank):
+    """Document change rate mu(rank) in 1/days, for a rank or a numpy array of ranks.
 
     Two algebraically identical forms exist:
 
@@ -268,23 +261,23 @@ def mu_of_rank(model: RenewalModel, rank: float) -> float:
     close to alpha or the rank close to p, so each is computed through
     expm1 of the log form (exact where the naive difference loses digits).
     Both are evaluated and cross-checked to 1e-12 relative; disagreement
-    indicates a broken build, not bad inputs.
+    indicates a broken build, not bad inputs.  A float rank gives a float.
     """
     p = model.universe
-    if not 1.0 <= rank <= p:
-        raise ValueError(f"rank must lie in [1, {p}], got {rank}")
+    ranks = np.asarray(rank, dtype=float)
+    inside = (ranks >= 1.0) & (ranks <= p)
+    if not inside.all():
+        raise ValueError(f"rank must lie in [1, {p}], got {ranks[~inside].flat[0]}")
     T = model.window_days
-    log_ratio = math.log(p / rank)
+    log_ratio = np.log(p / ranks)
     gap = model.alpha - model.alpha_r
     # (p/i)^a - (p/i)^ar  ==  (p/i)^ar * (exp(gap*log_ratio) - 1)
-    direct = math.exp(model.alpha_r * log_ratio) * math.expm1(gap * log_ratio) / T
+    direct = np.exp(model.alpha_r * log_ratio) * np.expm1(gap * log_ratio) / T
     # (1 - (i/p)^gap) / (i/p)^a  ==  (p/i)^a * -(exp(-gap*log_ratio) - 1)
-    folded = math.exp(model.alpha * log_ratio) * -math.expm1(-gap * log_ratio) / T
-    if abs(direct - folded) > 1e-12 * max(abs(direct), abs(folded)):
-        raise AssertionError(
-            f"change-rate forms disagree: {direct!r} vs {folded!r} at rank {rank}"
-        )
-    return direct
+    folded = np.exp(model.alpha * log_ratio) * -np.expm1(-gap * log_ratio) / T
+    if np.any(np.abs(direct - folded) > 1e-12 * np.maximum(np.abs(direct), np.abs(folded))):
+        raise AssertionError(f"change-rate forms disagree at rank {rank}")
+    return direct if direct.ndim else float(direct)
 
 
 def mu_at_quantile(
@@ -341,8 +334,9 @@ def expected_hit_ratio(
         raise ValueError(
             f"kernel size must lie in [1, universe={universe}], got {kernel_objects}"
         )
-    law = ZipfLaw.normalized(exponent, universe)
-    return cacheable_fraction * law.cumulative(kernel_objects)
+    return cacheable_fraction * (
+        zipf_normalization(exponent, universe) * zipf_integral(exponent, kernel_objects)
+    )
 
 
 def hit_scaling(h1: float, s1: float, s2: float, alpha: float) -> float:

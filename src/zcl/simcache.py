@@ -103,7 +103,8 @@ class CacheConfig:
     (ZIPF_CONSTRUCTION only; the managing part consumes no object capacity).
     managing_capacity bounds retained statistics entries; None means 10x the
     number of objects that fit the cache: 10x capacity in objects mode, and
-    in byte mode estimated from the mean size of objects seen so far, floor
+    in byte mode estimated from the mean charge of the entries made so far
+    (an object whose entry was dropped counts again when it returns), floor
     100.  occupancy_stride controls how often the per-part occupancy series
     is sampled, in events.
     """

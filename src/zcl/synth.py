@@ -3,86 +3,27 @@
 Requests arrive as a merged Poisson process from N clients, object choice is
 Zipf(alpha) over a fixed universe, and (optionally) every object's content
 changes according to its own Poisson process whose rate may depend on
-popularity rank.  Everything is driven by one seed, so a spec+seed pair
-always reproduces the identical record stream and change log.
+popularity rank.  The rate law is one of ``model``'s change rates, the same
+object ``model.wolman_hit_ratio`` integrates.  Everything is driven by one
+seed, so a spec+seed pair always reproduces the identical record stream and
+change log.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RenewalModel, mu_of_rank
+from .model import ChangeRate, check_change_rate
 from .trace import SECONDS_PER_DAY, Trace
 
 __all__ = [
-    "NoRenewal",
-    "TwoValuedRenewal",
-    "RankDependentRenewal",
     "SyntheticWorkloadSpec",
     "SyntheticTrace",
     "generate_synthetic_trace",
 ]
-
-
-@dataclass(frozen=True)
-class NoRenewal:
-    """Documents never change."""
-
-    def rates(self, universe: int, alpha: float, horizon_days: float) -> np.ndarray:
-        return np.zeros(universe)
-
-
-@dataclass(frozen=True)
-class TwoValuedRenewal:
-    """One change rate for popular ranks, another for the rest (rates per day)."""
-
-    mu_popular: float
-    mu_unpopular: float
-    popular_cutoff: int
-
-    def __post_init__(self):
-        if self.mu_popular < 0 or self.mu_unpopular < 0:
-            raise ValueError("change rates must be non-negative")
-        if self.popular_cutoff < 1:
-            raise ValueError("popular cutoff must be >= 1")
-
-    def rates(self, universe: int, alpha: float, horizon_days: float) -> np.ndarray:
-        mus = np.full(universe, self.mu_unpopular)
-        mus[: min(self.popular_cutoff, universe)] = self.mu_popular
-        return mus
-
-
-@dataclass(frozen=True)
-class RankDependentRenewal:
-    """Rank-dependent change rate derived from a second, flatter exponent.
-
-    mu(i) = ((p/i)**alpha - (p/i)**alpha_r) / window; alpha_r must not
-    exceed the workload's popularity exponent.  When window_days is left
-    None the generation horizon is used as the observation window.
-    """
-
-    alpha_r: float
-    window_days: float | None = None
-
-    def rates(self, universe: int, alpha: float, horizon_days: float) -> np.ndarray:
-        window = self.window_days if self.window_days is not None else horizon_days
-        model = RenewalModel(alpha, self.alpha_r, window, universe)
-        ranks = np.arange(1, universe + 1, dtype=float)
-        log_ratio = np.log(universe / ranks)
-        # Vectorized twin of mu_of_rank (same expm1 evaluation); parity is
-        # asserted at the endpoints.
-        mus = np.exp(self.alpha_r * log_ratio) * np.expm1((alpha - self.alpha_r) * log_ratio) / window
-        for probe in (1, universe):
-            expect = mu_of_rank(model, probe)
-            if abs(mus[probe - 1] - expect) > 1e-9 * max(expect, 1.0):
-                raise AssertionError("vectorized change rates diverge from mu_of_rank")
-        return np.maximum(mus, 0.0)
-
-
-Renewal = NoRenewal | TwoValuedRenewal | RankDependentRenewal
 
 
 @dataclass(frozen=True)
@@ -97,7 +38,11 @@ class SyntheticWorkloadSpec:
     cacheable_fraction: probability a request targets the cacheable universe;
                         the remainder goes to a disjoint universe of size
                         max(1, n // 10) with the same exponent
-    renewal:            NoRenewal, TwoValuedRenewal or RankDependentRenewal
+    renewal:            change rate per day by popularity rank: a float for a
+                        rate that does not depend on rank (0.0, the default,
+                        means no renewal), or a law such as
+                        model.TwoValuedChangeRate or model.RenewalModel,
+                        called on the array of ranks 1..n
     size_mean_bytes:    mean of the per-object lognormal size law
     size_sigma:         sigma of the size law (log scale); sizes are fixed
                         per object, not per request
@@ -110,7 +55,7 @@ class SyntheticWorkloadSpec:
     per_client_rate: float = 10_000.0
     horizon_days: float = 1.0
     cacheable_fraction: float = 1.0
-    renewal: Renewal = field(default_factory=NoRenewal)
+    renewal: ChangeRate = 0.0
     size_mean_bytes: float = 13_312.0
     size_sigma: float = 1.0
     seed: int = 0
@@ -126,11 +71,7 @@ class SyntheticWorkloadSpec:
             raise ValueError("rates and horizon must be positive")
         if not 0.0 < self.cacheable_fraction <= 1.0:
             raise ValueError("cacheable_fraction must lie in (0, 1]")
-        if isinstance(self.renewal, RankDependentRenewal):
-            if self.renewal.alpha_r > self.zipf_alpha:
-                raise ValueError(
-                    "rank-dependent renewal needs alpha_r <= zipf_alpha"
-                )
+        check_change_rate(self.renewal)
         if self.size_mean_bytes < 1 or self.size_sigma < 0:
             raise ValueError("bad size model")
 
@@ -205,7 +146,11 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
 
     # Object change processes: Poisson(mu_i * T) events, each uniform on the
     # horizon, sorted per object.
-    mus = spec.renewal.rates(n, spec.zipf_alpha, spec.horizon_days)
+    mus = (
+        spec.renewal(np.arange(1, n + 1, dtype=float))
+        if callable(spec.renewal)
+        else np.full(n, spec.renewal)
+    )
     changes: dict[str, list[float]] = {}
     change_rates: dict[str, float] = {}
     active = np.nonzero(mus > 0)[0]

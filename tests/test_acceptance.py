@@ -38,7 +38,7 @@ from zcl.analytics import (
     renewal_observables,
 )
 from zcl.simcache import HIT, MISS, CacheConfig, CacheSim, Policy, replay, simulate
-from zcl.synth import RankDependentRenewal, SyntheticWorkloadSpec, generate_synthetic_trace
+from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
 from zcl.trace import Trace, TraceRecord
 
 # (M, p, k) in units of 1e5; quoted alpha per row.
@@ -294,7 +294,7 @@ def test_criterion_10_renewal_gap_direction():
         clients=4,
         per_client_rate=12_500.0,
         horizon_days=4.0,
-        renewal=RankDependentRenewal(alpha_r=0.70, window_days=4.0),
+        renewal=model.RenewalModel(0.72, 0.70, 4.0, 30_000),
         seed=7,
     )
     out = generate_synthetic_trace(spec)

@@ -190,6 +190,14 @@ def test_synth_rank_renewal_needs_alpha_r(tmp_path):
     assert code == 2
 
 
+def test_synth_rejects_a_bad_renewal_window_before_opening_outputs(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--universe", "10", "--alpha", "0.5", "--renewal", "rank",
+                 "--alpha-r", "0.4", "--renewal-window", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: window must be positive")
+    assert not out.exists()
+
+
 # --- simulate -------------------------------------------------------------------
 
 
@@ -580,6 +588,21 @@ def test_model_commands(capsys):
 
 def test_model_rejects_out_of_range_alpha():
     assert main(["model", "ideal-hit", "--alpha", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mu", "-5"],
+    ["--mu", "-0.0001"],
+    ["--rate", "nan"],
+    ["--universe", "nan"],
+    ["--mu-popular", "1", "--mu-unpopular", "0.1", "--popular-cutoff", "-3"],
+    ["--mu-popular", "-1", "--mu-unpopular", "0", "--popular-cutoff", "10"],
+])
+def test_model_wolman_rejects_bad_inputs(capsys, flags):
+    assert main(["model", "wolman", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_model_renewal_bound_rejects_alpha_r_above_alpha(capsys):

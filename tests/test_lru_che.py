@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zcl.simcache import CacheConfig, Policy, simulate
-from zcl.synth import NoRenewal, SyntheticWorkloadSpec, generate_synthetic_trace
+from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
 
 UNIVERSE, ALPHA = 100_000, 0.8
 WARMUP = 100_000  # requests replayed before hits are counted
@@ -53,7 +53,6 @@ def zipf_trace():
         per_client_rate=300_000.0,
         horizon_days=1.0,
         cacheable_fraction=0.85,
-        renewal=NoRenewal(),
         seed=8,
     )
     return generate_synthetic_trace(spec).records

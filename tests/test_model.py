@@ -45,11 +45,9 @@ def test_normalization_rejects_tiny_universe():
         model.zipf_normalization(0.5, 1)
 
 
-def test_law_theta_strictly_decreasing():
-    law = model.ZipfLaw.normalized(0.7, 1000)
-    thetas = [law.theta(i) for i in range(1, 50)]
-    assert all(a > b for a, b in zip(thetas, thetas[1:]))
-    assert law.cumulative(1000) == pytest.approx(1.0, rel=1e-12)
+def test_normalized_law_integrates_to_one():
+    A = model.zipf_normalization(0.7, 1000)
+    assert A * model.zipf_integral(0.7, 1000) == pytest.approx(1.0, rel=1e-12)
 
 
 # --- steady-state hit ratio --------------------------------------------------
@@ -100,6 +98,7 @@ def test_two_valued_change_rate_matches_split_brute_force():
 
     oracle = oracle_piece(1.0, 50.0, 0.5) + oracle_piece(50.0, float(n), 0.002)
     assert value == pytest.approx(oracle, rel=1e-6)
+    assert type(value) is float
 
 
 def test_monotone_in_request_rate_and_change_rate():
@@ -138,6 +137,47 @@ def test_bad_universe_rejected():
         model.wolman_hit_ratio(
             model.WolmanParams(universe=1, alpha=0.5, request_rate=1.0, change_rate=0.0)
         )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("universe", math.nan),
+    ("request_rate", math.nan),
+    ("request_rate", -1.0),
+    ("change_rate", -5.0),
+    ("change_rate", -1e-4),
+    ("change_rate", math.nan),
+])
+def test_bad_wolman_inputs_rejected_before_the_quadrature(field, value):
+    params = dict(universe=1e4, alpha=0.8, request_rate=1e4, change_rate=0.0)
+    params[field] = value
+    with pytest.raises(ValueError):
+        model.wolman_hit_ratio(model.WolmanParams(**params))
+
+
+@pytest.mark.parametrize("mu_popular, mu_unpopular, cutoff", [
+    (-1.0, 0.0, 10),
+    (1.0, -1e-9, 10),
+    (math.nan, 0.1, 10),
+    (1.0, 0.1, -3),
+    (1.0, 0.1, 0.5),
+    (1.0, 0.1, math.nan),
+])
+def test_two_valued_change_rate_rejects_bad_laws(mu_popular, mu_unpopular, cutoff):
+    with pytest.raises(ValueError):
+        model.TwoValuedChangeRate(mu_popular, mu_unpopular, cutoff)
+
+
+def test_change_rate_laws_take_rank_arrays():
+    ranks = np.array([1.0, 2.5, 40.0, 41.0, 999.0, 1000.0])
+    for law in (
+        model.TwoValuedChangeRate(0.5, 0.01, 40),
+        model.RenewalModel(0.72, 0.63, 15.0, 1000),
+    ):
+        assert law(ranks).tolist() == [float(law(r)) for r in ranks]
+    renewal = model.RenewalModel(0.72, 0.63, 15.0, 1000)
+    assert renewal(ranks).tolist() == [model.mu_of_rank(renewal, r) for r in ranks]
+    with pytest.raises(ValueError):
+        renewal(np.array([1.0, 1001.0]))
 
 
 # --- rank-dependent change rate ----------------------------------------------
@@ -210,6 +250,12 @@ def test_change_rate_matches_naive_forms(alpha, gap, frac, window):
 def test_alpha_r_above_alpha_rejected():
     with pytest.raises(ValueError):
         model.RenewalModel(0.7, 0.75, 10.0, 100)
+
+
+@pytest.mark.parametrize("window, universe", [(math.nan, 100), (10.0, math.nan)])
+def test_renewal_model_rejects_nan_window_or_universe(window, universe):
+    with pytest.raises(ValueError):
+        model.RenewalModel(0.72, 0.70, window, universe)
 
 
 # --- ideal hit ratio bounds --------------------------------------------------

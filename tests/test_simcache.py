@@ -28,12 +28,7 @@ from zcl.simcache import (
     replay,
     simulate,
 )
-from zcl.synth import (
-    RankDependentRenewal,
-    SyntheticWorkloadSpec,
-    TwoValuedRenewal,
-    generate_synthetic_trace,
-)
+from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
 from zcl.trace import Trace, TraceRecord, read_blocks, write_canonical_csv
 
 DAY = 86_400.0
@@ -564,7 +559,7 @@ def test_renewal_only_reduces_hits():
         clients=2,
         per_client_rate=10_000.0,
         horizon_days=5.0,
-        renewal=RankDependentRenewal(alpha_r=0.60),
+        renewal=model.RenewalModel(0.72, 0.60, 5.0, 3000),
         seed=23,
     )
     out = generate_synthetic_trace(spec)
@@ -596,7 +591,7 @@ def test_unbounded_cache_matches_wolman_integral():
         clients=1,
         per_client_rate=rate,
         horizon_days=6.0,
-        renewal=TwoValuedRenewal(mu, mu, 1),
+        renewal=mu,
         seed=3,
     )
     out = generate_synthetic_trace(spec)

@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from zcl.synth import (
-    NoRenewal,
-    RankDependentRenewal,
-    SyntheticWorkloadSpec,
-    TwoValuedRenewal,
-    generate_synthetic_trace,
-)
+from zcl.model import RenewalModel, TwoValuedChangeRate
+from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
 
 
 def small_spec(**overrides):
@@ -58,7 +53,7 @@ def test_records_in_time_order_within_horizon():
 
 def test_single_object_universe_gets_every_request():
     out = generate_synthetic_trace(
-        small_spec(universe_size=1, zipf_alpha=0.5, renewal=NoRenewal())
+        small_spec(universe_size=1, zipf_alpha=0.5, renewal=0.0)
     )
     assert all(r.object_id == "o1" for r in out.records)
     assert counts_by_object(out.records)["o1"] == len(out.records)
@@ -140,7 +135,7 @@ def test_pairwise_count_ratios_follow_power_law(zipf08_million):
 
 
 def test_two_valued_change_events_chi_square():
-    renewal = TwoValuedRenewal(mu_popular=2.0, mu_unpopular=1.0, popular_cutoff=50)
+    renewal = TwoValuedChangeRate(mu_popular=2.0, mu_unpopular=1.0, popular_cutoff=50)
     out = generate_synthetic_trace(
         small_spec(universe_size=100, per_client_rate=100.0, horizon_days=10.0, renewal=renewal)
     )
@@ -154,20 +149,20 @@ def test_two_valued_change_events_chi_square():
 
 
 def test_rank_dependent_change_rates_decrease_and_vanish_at_tail():
-    renewal = RankDependentRenewal(alpha_r=0.70, window_days=15.0)
-    rates = renewal.rates(universe=1000, alpha=0.72, horizon_days=15.0)
+    renewal = RenewalModel(0.72, 0.70, 15.0, 1000)
+    rates = renewal(np.arange(1, 1001, dtype=float))
     assert rates[0] > rates[10] > rates[500]
     assert rates[-1] == 0.0
     assert (rates >= 0).all()
 
 
 def test_rank_dependent_total_events_match_expectation():
-    renewal = RankDependentRenewal(alpha_r=0.70)
+    renewal = RenewalModel(0.72, 0.70, 15.0, 2000)
     spec = small_spec(
         universe_size=2000, zipf_alpha=0.72, per_client_rate=50.0, horizon_days=15.0, renewal=renewal
     )
     out = generate_synthetic_trace(spec)
-    rates = renewal.rates(2000, 0.72, 15.0)
+    rates = renewal(np.arange(1, 2001, dtype=float))
     expected = rates.sum() * 15.0
     observed = sum(len(v) for v in out.changes.values())
     assert observed == pytest.approx(expected, abs=4 * np.sqrt(expected))
@@ -176,7 +171,7 @@ def test_rank_dependent_total_events_match_expectation():
 
 
 def test_change_events_inside_horizon_and_sorted():
-    renewal = TwoValuedRenewal(mu_popular=5.0, mu_unpopular=0.5, popular_cutoff=10)
+    renewal = TwoValuedChangeRate(mu_popular=5.0, mu_unpopular=0.5, popular_cutoff=10)
     out = generate_synthetic_trace(small_spec(universe_size=50, horizon_days=2.0, renewal=renewal))
     for times in out.changes.values():
         assert times == sorted(times)
@@ -193,11 +188,6 @@ def test_ten_million_object_universe_supported():
     assert all(r.object_id.startswith("o") for r in out.records)
 
 
-def test_alpha_r_above_alpha_rejected():
-    with pytest.raises(ValueError):
-        small_spec(zipf_alpha=0.7, renewal=RankDependentRenewal(alpha_r=0.75))
-
-
 def test_bad_spec_values_rejected():
     with pytest.raises(ValueError):
         small_spec(zipf_alpha=1.0)
@@ -205,15 +195,12 @@ def test_bad_spec_values_rejected():
         small_spec(cacheable_fraction=0.0)
     with pytest.raises(ValueError):
         small_spec(universe_size=0)
+    for rate in (-1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            small_spec(renewal=rate)
 
 
 # --- the generator's output, pinned -----------------------------------------------
-
-GRID_RENEWALS = {
-    "none": NoRenewal(),
-    "two": TwoValuedRenewal(mu_popular=3.0, mu_unpopular=0.5, popular_cutoff=3),
-    "rank": RankDependentRenewal(alpha_r=0.6),
-}
 
 
 def grid_spec(universe, fraction, renewal, per_client_rate=100.0):
@@ -223,7 +210,11 @@ def grid_spec(universe, fraction, renewal, per_client_rate=100.0):
         clients=3,
         per_client_rate=per_client_rate,
         cacheable_fraction=fraction,
-        renewal=GRID_RENEWALS[renewal],
+        renewal={
+            "none": 0.0,
+            "two": TwoValuedChangeRate(mu_popular=3.0, mu_unpopular=0.5, popular_cutoff=3),
+            "rank": RenewalModel(0.8, 0.6, 1.0, universe),
+        }[renewal],
         seed=universe,
     )
 
