@@ -386,6 +386,9 @@ def cmd_simulate(args, manifest) -> int:
 def cmd_model(args, manifest) -> int:
     sub = args.model_command
     echo = {k: v for k, v in vars(args).items() if k not in ("func", "command", "model_command") and v is not None}
+    for key, v in echo.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InputError(f"--{key.replace('_', '-')} must be finite, got {v}")
     if sub == "ideal-hit":
         value = model.ideal_hit_ratio(args.alpha)
     elif sub == "ideal-hit-renewal":

@@ -7,8 +7,8 @@ On top of that law the module evaluates
 
 * ideal hit-ratio bounds, with and without the document-renewal correction,
 * the steady-state aggregate hit ratio of Wolman et al. for a population of
-  changing documents (numerical quadrature; the only integral here without
-  a closed antiderivative),
+  changing documents (Simpson's rule over log-rank; the only integral here
+  without a closed antiderivative),
 * the rank-dependent document change rate implied by a second, flatter
   Zipf exponent alpha_r fitted to the same window,
 * kernel sizing and kernel:accessory capacity relations,
@@ -27,12 +27,12 @@ implications", INFOCOM 1999 (popularity law).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
-
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "WolmanParams",
@@ -115,8 +115,8 @@ def check_change_rate(rate: ChangeRate) -> None:
     if not (callable(rate) or rate >= 0):
         raise ValueError(f"change rate must be >= 0, got {rate}")
 
-# wolman_hit_ratio's quadrature tolerance and subdivision cap, and the band
-# by which its value may overshoot [0, 1] before that counts as a defect.
+# wolman_hit_ratio's Simpson tolerance and subdivision cap, and the band by
+# which its value may overshoot [0, 1] before that counts as a defect.
 _WOLMAN_REL_TOL = 1e-8
 _WOLMAN_MAX_SUBDIVISIONS = 1_000_000
 _WOLMAN_BAND = 1e-6
@@ -129,7 +129,7 @@ class WolmanParams:
     Attributes
     ----------
     universe : float
-        Object universe size n (>= 2).
+        Object universe size n (>= 2, finite).
     alpha : float
         Popularity exponent in (0, 1).
     request_rate : float
@@ -144,11 +144,6 @@ class WolmanParams:
     request_rate: float
     change_rate: ChangeRate = 0.0
 
-    def mu(self, rank: float) -> float:
-        if callable(self.change_rate):
-            return self.change_rate(rank)
-        return float(self.change_rate)
-
 
 def wolman_hit_ratio(params: WolmanParams) -> float:
     """Steady-state aggregate object hit ratio over cacheable objects.
@@ -158,50 +153,81 @@ def wolman_hit_ratio(params: WolmanParams) -> float:
         C_N = integral( 1/(C x**alpha) * 1/(1 + mu(x) C x**alpha / (lambda N)),
                         x = 1..n )
 
-    where C = integral(x**-alpha, 1..n) is taken in closed form and the outer
-    integral by adaptive Simpson quadrature.  The damping factor discounts
-    one request per document per change interval: each change forces the next
-    request out to the network, so faster-changing documents contribute less
-    of their popularity mass to the hit ratio.
+    where C = integral(x**-alpha, 1..n) is taken in closed form.  The damping
+    factor discounts one request per document per change interval: each
+    change forces the next request out to the network, so faster-changing
+    documents contribute less of their popularity mass to the hit ratio.
 
-    With mu identically zero the integrand reduces to the normalized
-    popularity density and the result is 1.  A two-valued change rate has a
-    step at the popularity cutoff; the integral is split there so Simpson
-    only ever sees smooth pieces.
+    The outer integral is taken by Simpson's rule over log-rank u = ln x,
+    where its integrand is x times the above: smooth, and bounded however
+    large n is.  With mu identically zero the integrand
+    reduces to the normalized popularity density and the result is 1.  A
+    two-valued change rate steps at its popularity cutoff; the integral is
+    split at its log, and each side is taken at its constant rate.
     """
-    n = params.universe
-    alpha = params.alpha
-    rate = params.request_rate
-    # Written as `not x >= bound` so that NaN is rejected too.
-    if not n >= 2:
-        raise ValueError(f"universe size must be >= 2, got {n}")
+    n, alpha, rate, law = params.universe, params.alpha, params.request_rate, params.change_rate
+    # Written as `not ...` so that NaN is rejected too.
+    if not 2 <= n < math.inf:
+        raise ValueError(f"universe size must be finite and >= 2, got {n}")
     _check_alpha(alpha)
     if not rate >= 0:
         raise ValueError(f"request rate must be >= 0, got {rate}")
-    check_change_rate(params.change_rate)
+    check_change_rate(law)
 
     C = zipf_integral(alpha, n)
 
-    def integrand(x: float) -> float:
+    def integrand(mu: ChangeRate, u: float) -> float:
+        x = min(math.exp(u), n)  # exp(ln n) may round above n
         mass = x**alpha
+        mu_x = mu(x) if callable(mu) else mu
         if rate == 0.0:
             # Limit lambda*N -> 0: any positive change rate kills the hit.
-            return 0.0 if params.mu(x) > 0.0 else 1.0 / (C * mass)
-        return 1.0 / (C * mass) / (1.0 + params.mu(x) * C * mass / rate)
+            return 0.0 if mu_x > 0.0 else x / (C * mass)
+        return x / (C * mass) / (1.0 + mu_x * C * mass / rate)
 
-    pieces = [(1.0, float(n))]
-    if isinstance(params.change_rate, TwoValuedChangeRate):
-        cut = params.change_rate.popular_cutoff
-        if 1.0 < cut < n:
-            pieces = [(1.0, cut), (cut, float(n))]
-
-    value = sum(
-        adaptive_simpson(integrand, lo, hi, _WOLMAN_REL_TOL, _WOLMAN_MAX_SUBDIVISIONS)
-        for lo, hi in pieces
-    )
+    pieces = [(law, 0.0, math.log(n))]
+    if isinstance(law, TwoValuedChangeRate) and 1.0 < law.popular_cutoff < n:
+        # Each side at its own rate: exp(ln cutoff) may round below the cutoff.
+        cut = math.log(law.popular_cutoff)
+        pieces = [(law.mu_popular, 0.0, cut), (law.mu_unpopular, cut, math.log(n))]
+    value = sum(_simpson(partial(integrand, mu), a, b) for mu, a, b in pieces)
     if not -_WOLMAN_BAND <= value <= 1.0 + _WOLMAN_BAND:
         raise ArithmeticError(f"hit ratio {value} escaped [0, 1]")
     return float(min(max(value, 0.0), 1.0))
+
+
+def _simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Simpson integral of f over [a, b], begun as its two halves.
+
+    An interval is accepted when its two panels agree with its one to within
+    its share of _WOLMAN_REL_TOL times the first estimate; the accepted value
+    includes the Richardson correction.
+    """
+
+    def panel(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    m = 0.5 * (a + b)
+    fs = [f(x) for x in (a, 0.5 * (a + m), m, 0.5 * (m + b), b)]
+    eps = 0.5 * _WOLMAN_REL_TOL * abs(panel(a, m, *fs[:3]) + panel(m, b, *fs[2:]))
+    # Stack entries: (x0, x2, f(x0), f(midpoint), f(x2), error budget).
+    stack = [(a, m, *fs[:3], eps), (m, b, *fs[2:], eps)]
+    total, splits = 0.0, 0
+    while stack:
+        x0, x2, f0, f1, f2, eps = stack.pop()
+        xm = 0.5 * (x0 + x2)
+        fl, fr = f(0.5 * (x0 + xm)), f(0.5 * (xm + x2))
+        left, right = panel(x0, xm, f0, fl, f1), panel(xm, x2, f1, fr, f2)
+        err = (left + right - panel(x0, x2, f0, f1, f2)) / 15.0
+        if abs(err) <= eps:
+            total += left + right + err
+            continue
+        splits += 1
+        if splits > _WOLMAN_MAX_SUBDIVISIONS:
+            raise ArithmeticError(f"no convergence in {_WOLMAN_MAX_SUBDIVISIONS} subdivisions")
+        stack.append((x0, xm, f0, fl, f1, 0.5 * eps))
+        stack.append((xm, x2, f1, fr, f2, 0.5 * eps))
+    return total
 
 
 @dataclass(frozen=True)

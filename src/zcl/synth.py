@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChangeRate, check_change_rate
+from .model import ChangeRate, RenewalModel, check_change_rate
 from .trace import SECONDS_PER_DAY, Trace
 
 __all__ = [
@@ -41,8 +41,8 @@ class SyntheticWorkloadSpec:
     renewal:            change rate per day by popularity rank: a float for a
                         rate that does not depend on rank (0.0, the default,
                         means no renewal), or a law such as
-                        model.TwoValuedChangeRate or model.RenewalModel,
-                        called on the array of ranks 1..n
+                        model.TwoValuedChangeRate or a model.RenewalModel
+                        of this alpha and n, called on the ranks 1..n
     size_mean_bytes:    mean of the per-object lognormal size law
     size_sigma:         sigma of the size law (log scale); sizes are fixed
                         per object, not per request
@@ -72,6 +72,11 @@ class SyntheticWorkloadSpec:
         if not 0.0 < self.cacheable_fraction <= 1.0:
             raise ValueError("cacheable_fraction must lie in (0, 1]")
         check_change_rate(self.renewal)
+        if isinstance(self.renewal, RenewalModel):
+            law = (self.renewal.alpha, self.renewal.universe)
+            own = (self.zipf_alpha, self.universe_size)
+            if law != own:
+                raise ValueError(f"renewal model is for (alpha, universe) {law}, the spec for {own}")
         if self.size_mean_bytes < 1 or self.size_sigma < 0:
             raise ValueError("bad size model")
 

@@ -581,6 +581,8 @@ def test_model_commands(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1 / 202, rel=0.02)
     assert main(["model", "wolman", "--mu", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 1.0
+    assert main(["model", "wolman", "--universe", "1e6", "--mu", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1.0
     assert main(["model", "growth", "--alpha1", "0.76", "--t1", "31",
                  "--alpha2", "0.81", "--t2", "61"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.0739, abs=5e-4)
@@ -603,6 +605,22 @@ def test_model_wolman_rejects_bad_inputs(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    "normalization --alpha 0.8 --universe nan",
+    "kernel-size --alpha 0.8 --hit-ratio nan --nu-out 1 --t-eff 1",
+    "scale --h1 0.5 --s1 1 --s2 nan --alpha 0.8",
+    "mu --alpha 0.8 --alpha-r 0.7 --tst nan --quantile 0.5",
+    "wolman --universe inf",
+    "expected-hit --pc 1 --alpha 0.8 --universe inf --kernel-objects 10",
+])
+def test_model_rejects_non_finite_flags(capsys, command):
+    assert main(["model", *command.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --")
+    assert "must be finite" in captured.err
 
 
 def test_model_renewal_bound_rejects_alpha_r_above_alpha(capsys):

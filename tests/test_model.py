@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from zcl import model
 
@@ -62,9 +63,79 @@ def brute_force_hit_ratio(n, alpha, rate, mu_fn, panels=1_000_000):
     return float(np.trapezoid(g, x))
 
 
-def test_no_renewal_gives_unity():
-    params = model.WolmanParams(universe=5000, alpha=0.7, request_rate=1e4, change_rate=0.0)
-    assert model.wolman_hit_ratio(params) == pytest.approx(1.0, abs=1e-9)
+def quad_over_log_rank(n, alpha, rate, law, cuts=()):
+    """scipy's quad of x * integrand over u = ln x, split at the ranks in cuts."""
+    C = model.zipf_integral(alpha, n)
+
+    def g(u):
+        x = min(math.exp(u), n)
+        mu = law(x) if callable(law) else law
+        mass = x**alpha
+        return x / (C * mass) / (1.0 + mu * C * mass / rate)
+
+    us = [0.0, *map(math.log, cuts), math.log(n)]
+    return sum(
+        integrate.quad(g, a, b, epsabs=0, epsrel=1e-13, limit=2000)[0] for a, b in zip(us, us[1:])
+    )
+
+
+def log_rank_grid():
+    """Points (n, alpha, lambda*N, law name): each law at two exponents and four universes."""
+    for n in (1e2, 1e4, 1e5, 1e7):
+        for alpha in (0.64, 0.95):
+            for rate, law in ((1e7, "mu 0.01"), (1e4, "mu 1"), (1.5e5, "two-valued"),
+                              (10.0, "renewal near alpha"), (1e7, "renewal alpha/2")):
+                yield n, alpha, rate, law
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n, alpha, rate, name", list(log_rank_grid()))
+def test_wolman_matches_quad_over_log_rank(n, alpha, rate, name):
+    cutoff = min(100.0, n - 1)
+    law = {
+        "mu 0.01": 0.01,
+        "mu 1": 1.0,
+        "two-valued": model.TwoValuedChangeRate(5.0, 0.2, cutoff),
+        "renewal near alpha": model.RenewalModel(alpha, alpha - 0.02, 6.0, n),
+        "renewal alpha/2": model.RenewalModel(alpha, alpha / 2, 0.5, n),
+    }[name]
+    cuts = (cutoff,) if name == "two-valued" else ()
+    value = model.wolman_hit_ratio(model.WolmanParams(n, alpha, rate, law))
+    assert value == pytest.approx(quad_over_log_rank(n, alpha, rate, law, cuts), abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [1e3, 1e7])
+def test_zero_request_rate_keeps_only_unchanging_documents(n):
+    def value(law):
+        return model.wolman_hit_ratio(model.WolmanParams(n, 0.8, 0.0, law))
+
+    assert value(1.0) == 0.0
+    assert value(model.RenewalModel(0.8, 0.7, 2.0, n)) == pytest.approx(0.0, abs=1e-12)
+    assert value(0.0) == pytest.approx(1.0, abs=1e-12)
+    # mu 0 beyond rank 10: the popularity mass of ranks 10..n is kept.
+    beyond = 1.0 - model.zipf_integral(0.8, 10.0) / model.zipf_integral(0.8, n)
+    assert value(model.TwoValuedChangeRate(1.0, 0.0, 10)) == pytest.approx(beyond, abs=1e-9)
+
+
+def test_a_step_away_from_any_cutoff_converges_or_exhausts_the_cap(monkeypatch):
+    def step(x):
+        return 1.0 if x < 1234.5 else 0.01
+
+    params = model.WolmanParams(universe=1e5, alpha=0.8, request_rate=1e4, change_rate=step)
+    oracle = quad_over_log_rank(1e5, 0.8, 1e4, step, cuts=(1234.5,))
+    assert model.wolman_hit_ratio(params) == pytest.approx(oracle, abs=1e-8)
+    monkeypatch.setattr(model, "_WOLMAN_MAX_SUBDIVISIONS", 10)
+    with pytest.raises(ArithmeticError, match="10 subdivisions") as err:
+        model.wolman_hit_ratio(params)
+    assert err.type is ArithmeticError
+
+
+@pytest.mark.parametrize("n, alpha", [
+    (5000, 0.7), *((n, alpha) for n in (1e4, 1e6, 1e7, 3e7) for alpha in (0.3, 0.64, 0.8, 0.9)),
+])
+def test_no_renewal_gives_unity(n, alpha):
+    params = model.WolmanParams(universe=n, alpha=alpha, request_rate=1e4, change_rate=0.0)
+    assert model.wolman_hit_ratio(params) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vanishing_request_rate_kills_hits():
@@ -141,6 +212,7 @@ def test_bad_universe_rejected():
 
 @pytest.mark.parametrize("field, value", [
     ("universe", math.nan),
+    ("universe", math.inf),
     ("request_rate", math.nan),
     ("request_rate", -1.0),
     ("change_rate", -5.0),

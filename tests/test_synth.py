@@ -199,6 +199,11 @@ def test_bad_spec_values_rejected():
         with pytest.raises(ValueError):
             small_spec(renewal=rate)
 
+    # A RenewalModel of another exponent or universe than the spec's.
+    for universe, law in ((100, RenewalModel(0.5, 0.4, 1.0, 100)), (200, RenewalModel(0.8, 0.4, 1.0, 100))):
+        with pytest.raises(ValueError, match="renewal model is for"):
+            small_spec(universe_size=universe, renewal=law)
+
 
 # --- the generator's output, pinned -----------------------------------------------
 
