@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import zcl
-from zcl import cli
+from zcl import analytics, cli, model
 from zcl import simcache as simcache_module
 from zcl import synth as synth_module
 from zcl import trace as trace_module
@@ -198,6 +199,32 @@ def test_synth_rejects_a_bad_renewal_window_before_opening_outputs(tmp_path, cap
     assert not out.exists()
 
 
+TWO_VALUED_FLAGS = ["--mu-popular", "3", "--mu-unpopular", "0.5", "--popular-cutoff", "5"]
+
+
+def test_synth_two_valued_renewal_writes_the_library_change_log(tmp_path, capsys):
+    changes = tmp_path / "ch.csv"
+    assert main(["synth", "--universe", "50", "--alpha", "0.8", "--rate", "100", "--days", "2",
+                 "--seed", "5", "--renewal", "two", *TWO_VALUED_FLAGS,
+                 "--out", str(tmp_path / "t.csv"), "--changes-out", str(changes)]) == 0
+    spec = SyntheticWorkloadSpec(universe_size=50, zipf_alpha=0.8, per_client_rate=100.0,
+                                 horizon_days=2.0, renewal=model.TwoValuedChangeRate(3.0, 0.5, 5),
+                                 seed=5)
+    expected = io.StringIO()
+    assert trace_module.write_change_log_csv(generate_synthetic_trace(spec).changes, expected) > 0
+    assert changes.read_text() == expected.getvalue()
+
+
+@pytest.mark.parametrize("left_out", [0, 2, 4])
+def test_synth_two_valued_renewal_needs_every_flag(tmp_path, capsys, left_out):
+    flags = TWO_VALUED_FLAGS[:left_out] + TWO_VALUED_FLAGS[left_out + 2:]
+    out = tmp_path / "t.csv"
+    assert main(["synth", "--universe", "50", "--alpha", "0.8", "--renewal", "two", *flags,
+                 "--out", str(out)]) == 2
+    assert "needs --mu-popular" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- simulate -------------------------------------------------------------------
 
 
@@ -259,6 +286,17 @@ def test_simulate_multi_config_fans_out(tmp_path):
     docs = json.loads(Path(out).read_text())
     assert isinstance(docs, list) and len(docs) == 2
     assert docs[0]["policy"] == "lru" and docs[1]["policy"] == "zipf_construction"
+
+
+@pytest.mark.parametrize("dump", ["--evictions-out", "--occupancy-out"])
+def test_simulate_dumps_need_a_single_config(tmp_path, capsys, dump):
+    trace = trace_csv(tmp_path / "t.csv", [row(0.0, "a")])
+    configs = [objects_cfg(tmp_path / f"{i}.cfg", 3) for i in range(2)]
+    dumped = tmp_path / "dump.csv"
+    assert main(["simulate", trace, *configs, "--out", str(tmp_path / "r.json"),
+                 dump, str(dumped)]) == 2
+    assert capsys.readouterr().err == "error: eviction/occupancy dumps need a single config\n"
+    assert not dumped.exists()
 
 
 @pytest.mark.parametrize(
@@ -570,6 +608,18 @@ def test_cli_import_leaves_out_multiprocessing():
     assert done.stdout.strip() == "False", done.stderr
 
 
+@pytest.mark.parametrize("alpha, code", [("0.5", 0), ("1.5", 2)])
+def test_module_entry_point_exits_with_the_cli_code(alpha, code):
+    src_dir = Path(zcl.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "zcl", "model", "ideal-hit", "--alpha", alpha],
+        env=dict(os.environ, PYTHONPATH=str(src_dir)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert json.loads(done.stdout) == {"inputs": {"alpha": 0.5}, "value": 0.5}
+
+
 # --- model ----------------------------------------------------------------------
 
 
@@ -626,6 +676,65 @@ def test_model_rejects_non_finite_flags(capsys, command):
 def test_model_renewal_bound_rejects_alpha_r_above_alpha(capsys):
     assert main(["model", "ideal-hit-renewal", "--alpha", "0.7", "--alpha-r", "0.8"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def two_valued_wolman():
+    law = model.TwoValuedChangeRate(2.0, 0.1, 1000.0)
+    return model.wolman_hit_ratio(model.WolmanParams(1e5, 0.8, 127500.0, law))
+
+
+# relation flags -> the JSON fields the library gives for them.
+RELATION_CASES = {
+    "ideal-hit --alpha 0.8": lambda: {"value": model.ideal_hit_ratio(0.8)},
+    "ideal-hit-renewal --alpha 0.8 --alpha-r 0.7":
+        lambda: {"value": model.ideal_hit_ratio_with_renewal(0.8, 0.7)},
+    "normalization --alpha 0.8 --universe 1e5":
+        lambda: {"value": model.zipf_normalization(0.8, 1e5)},
+    "mu --alpha 0.72 --alpha-r 0.7 --tst 15 --quantile 0.25":
+        lambda: {"value": model.mu_at_quantile(0.72, 0.7, 15.0, 0.25)},
+    "mu --alpha 0.72 --alpha-r 0.7 --tst 15 --rank 10 --universe 1000":
+        lambda: {"value": model.mu_of_rank(model.RenewalModel(0.72, 0.7, 15.0, 1000.0), 10.0)},
+    "wolman --universe 1e5 --alpha 0.8 --rate 127500 --mu 0.01":
+        lambda: {"value": model.wolman_hit_ratio(model.WolmanParams(1e5, 0.8, 127500.0, 0.01))},
+    "wolman --universe 1e5 --alpha 0.8 --rate 127500 --mu 0"
+    " --mu-popular 2 --mu-unpopular 0.1 --popular-cutoff 1000":
+        lambda: {"value": two_valued_wolman()},
+    "expected-hit --pc 0.85 --alpha 0.7 --universe 1e5 --kernel-objects 1000":
+        lambda: {"value": model.expected_hit_ratio(0.85, 0.7, 1e5, 1000.0)},
+    "scale --h1 24.49 --s1 1 --s2 5.96 --alpha 0.77":
+        lambda: {"value": model.hit_scaling(24.49, 1.0, 5.96, 0.77)},
+    "kernel-size --alpha 0.77 --hit-ratio 0.3 --nu-out 1e6 --t-eff 2.5":
+        lambda: {"value": model.kernel_size(0.77, 0.3, 1e6, 2.5)},
+    "ratio --alpha 0.8 --t-eff 3 --t-u 1.5":
+        lambda: dataclasses.asdict(model.kernel_accessory_ratio(0.8, 3.0, 1.5)),
+    "ratio --alpha 0.8 --t-eff 3 --t-u 1.5 --m 78000 --universe 248000":
+        lambda: dataclasses.asdict(model.kernel_accessory_ratio(0.8, 3.0, 1.5, 78000.0, 248000.0)),
+    "residuals --a 0.05 --k-r 1e6 --m 78000 --universe 248000 --alpha-r 0.7":
+        lambda: dict(zip(("residual_M", "residual_p"),
+                         model.special_point_residuals(0.05, 1e6, 78000.0, 248000.0, 0.7))),
+    "growth --alpha1 0.76 --t1 31 --alpha2 0.81 --t2 61":
+        lambda: {"value": analytics.alpha_growth_constant(0.76, 31.0, 0.81, 61.0)},
+}
+
+
+@pytest.mark.parametrize("command", list(RELATION_CASES))
+def test_model_prints_the_library_value(capsys, command):
+    relation, *flags = command.split()
+    assert main(["model", relation, *flags]) == 0
+    inputs = {flag[2:].replace("-", "_"): float(v) for flag, v in zip(flags[::2], flags[1::2])}
+    assert json.loads(capsys.readouterr().out) == {"inputs": inputs, **RELATION_CASES[command]()}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mu-popular", "2"],
+    ["--mu-popular", "2", "--mu-unpopular", "0.1"],
+    ["--popular-cutoff", "1000"],
+])
+def test_model_wolman_needs_every_two_valued_flag(capsys, flags):
+    assert main(["model", "wolman", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "needs --mu-popular" in captured.err
 
 
 # --- report ---------------------------------------------------------------------

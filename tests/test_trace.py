@@ -59,6 +59,19 @@ def test_squid_garbage_line_skipped_not_fatal(monkeypatch, block_rows):
     assert parsed.malformed == 1
 
 
+def test_squid_blank_line_is_skipped_and_not_counted():
+    parsed = parse_squid_log([GOOD_MISS, "", "  \t", GOOD_HIT])
+    assert (len(parsed.records), parsed.malformed, parsed.total_lines) == (2, 0, 2)
+
+
+def test_squid_unparsable_timestamp_or_byte_count_is_malformed():
+    fields = GOOD_HIT.split()
+    lines = [" ".join(["abc", *fields[1:]]), " ".join([*fields[:4], "12x", *fields[5:]])]
+    parsed = parse_squid_log([GOOD_MISS, *lines, GOOD_HIT])
+    assert (parsed.malformed, parsed.total_lines) == (2, 4)
+    assert parsed.records.timestamps.tolist() == [1000.5, 1001.0]
+
+
 def test_squid_non_finite_timestamp_is_malformed():
     lines = [GOOD_MISS, "nan" + GOOD_HIT[6:], "inf" + GOOD_HIT[6:], GOOD_HIT]
     parsed = parse_squid_log(lines)
