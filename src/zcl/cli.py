@@ -253,17 +253,15 @@ def cmd_analyze(args, manifest) -> int:
 
     if args.cache_config:
         stats = lifetimes.stats()
-        summary = analytics.MeasurementSummary.from_simulation(result)
+        summary = analytics.MeasurementSummary.from_simulation(result).to_json_dict()
+        row.update({key: summary[key] for key in ("S_eff_over_nu_int_days", "H_pct", "HB_pct")})
         row.update(
             {
                 "S_eff": config.capacity_bytes,
-                "S_eff_over_nu_int_days": summary.size_to_traffic_days,
                 "t_u_days": stats.t_u.mean_days,
                 "t_u_stderr_days": stats.t_u.stderr_days,
                 "T_eff_days": stats.t_eff.mean_days,
                 "T_eff_stderr_days": stats.t_eff.stderr_days,
-                "H_pct": result.hit_ratio * 100.0,
-                "HB_pct": result.byte_hit_ratio * 100.0,
             }
         )
         if alpha is not None and result.hits > 0:
@@ -282,6 +280,15 @@ def cmd_analyze(args, manifest) -> int:
     return EXIT_OK
 
 
+def _two_valued(args) -> model.TwoValuedChangeRate:
+    flags = (args.mu_popular, args.mu_unpopular, args.popular_cutoff)
+    if None in flags:
+        raise InputError(
+            "two-valued change rate needs --mu-popular, --mu-unpopular and --popular-cutoff"
+        )
+    return model.TwoValuedChangeRate(*flags)
+
+
 def _parse_renewal(args) -> model.ChangeRate:
     if args.renewal == "none":
         return 0.0
@@ -290,11 +297,7 @@ def _parse_renewal(args) -> model.ChangeRate:
             raise InputError("--renewal rank needs --alpha-r")
         window = args.days if args.renewal_window is None else args.renewal_window
         return model.RenewalModel(args.alpha, args.alpha_r, window, args.universe)
-    if args.renewal == "two":
-        if None in (args.mu_popular, args.mu_unpopular, args.popular_cutoff):
-            raise InputError("--renewal two needs --mu-popular, --mu-unpopular, --popular-cutoff")
-        return model.TwoValuedChangeRate(args.mu_popular, args.mu_unpopular, args.popular_cutoff)
-    raise InputError(f"unknown renewal kind {args.renewal!r}")
+    return _two_valued(args)  # --renewal two; argparse's choices reject any other kind
 
 
 def cmd_synth(args, manifest) -> int:
@@ -344,13 +347,12 @@ def _simulation_payload(result: simcache.SimulationResult, config: simcache.Cach
     return payload
 
 
-def _eviction_writer(f):
-    """An eviction sink that writes each eviction to f as a CSV row, after the header."""
+def _csv_rows(f, header):
+    """A csv.writer on f that has written header; it writes None as an empty
+    field and a float as its repr."""
     rows = csv.writer(f, lineterminator="\n")
-    rows.writerow(("object_id", "insert_ts", "evict_ts", "count"))
-    return lambda ev: rows.writerow(
-        (ev.object_id, repr(ev.insert_ts), repr(ev.evict_ts), ev.count)
-    )
+    rows.writerow(header)
+    return rows
 
 
 def cmd_simulate(args, manifest) -> int:
@@ -364,7 +366,9 @@ def cmd_simulate(args, manifest) -> int:
         with (
             _open_out(args.evictions_out) if args.evictions_out else contextlib.nullcontext()
         ) as ev_file:
-            sinks = None if ev_file is None else [_eviction_writer(ev_file)]
+            # The sink writes each Eviction as a row: its fields run in the header's order.
+            header = ("object_id", "insert_ts", "evict_ts", "count")
+            sinks = None if ev_file is None else [_csv_rows(ev_file, header).writerow]
             results = simcache.replay(blocks, configs, changes, sinks)
     payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
     out_doc = payloads[0] if len(payloads) == 1 else payloads
@@ -373,71 +377,20 @@ def cmd_simulate(args, manifest) -> int:
     result = results[0]
     if args.occupancy_out:
         with _open_out(args.occupancy_out) as f:
-            rows = csv.writer(f, lineterminator="\n")
-            rows.writerow(("timestamp_s", "kernel_bytes", "accessory_bytes", "managing_entries"))
-            rows.writerows(
-                (repr(s.timestamp), s.kernel_bytes, s.accessory_bytes, s.managing_entries)
-                for s in result.occupancy
-            )
+            # An OccupancySample's fields run in the header's order.
+            header = ("timestamp_s", "kernel_bytes", "accessory_bytes", "managing_entries")
+            _csv_rows(f, header).writerows(result.occupancy)
     _dump_json(out_doc if isinstance(out_doc, dict) else {"results": out_doc}, sys.stdout)
     return EXIT_OK
 
 
 def cmd_model(args, manifest) -> int:
-    sub = args.model_command
-    echo = {k: v for k, v in vars(args).items() if k not in ("func", "command", "model_command") and v is not None}
+    ignored = ("func", "relation", "command", "model_command")
+    echo = {k: v for k, v in vars(args).items() if k not in ignored and v is not None}
     for key, v in echo.items():
         if isinstance(v, float) and not math.isfinite(v):
             raise InputError(f"--{key.replace('_', '-')} must be finite, got {v}")
-    if sub == "ideal-hit":
-        value = model.ideal_hit_ratio(args.alpha)
-    elif sub == "ideal-hit-renewal":
-        value = model.ideal_hit_ratio_with_renewal(args.alpha, args.alpha_r)
-    elif sub == "normalization":
-        value = model.zipf_normalization(args.alpha, args.universe)
-    elif sub == "mu":
-        if args.quantile is not None:
-            value = model.mu_at_quantile(args.alpha, args.alpha_r, args.tst, args.quantile)
-        elif args.rank is not None and args.universe is not None:
-            m = model.RenewalModel(args.alpha, args.alpha_r, args.tst, args.universe)
-            value = model.mu_of_rank(m, args.rank)
-        else:
-            raise InputError("mu needs --quantile, or --rank with --universe")
-    elif sub == "wolman":
-        two_valued = (args.mu_popular, args.mu_unpopular, args.popular_cutoff)
-        if any(v is not None for v in two_valued) and None in two_valued:
-            raise InputError(
-                "two-valued change rate needs --mu-popular, --mu-unpopular and --popular-cutoff"
-            )
-        change = (
-            model.TwoValuedChangeRate(*two_valued)
-            if args.mu_popular is not None
-            else args.mu
-        )
-        params = model.WolmanParams(
-            universe=args.universe, alpha=args.alpha, request_rate=args.rate, change_rate=change
-        )
-        value = model.wolman_hit_ratio(params)
-    elif sub == "expected-hit":
-        value = model.expected_hit_ratio(args.pc, args.alpha, args.universe, args.kernel_objects)
-    elif sub == "scale":
-        value = model.hit_scaling(args.h1, args.s1, args.s2, args.alpha)
-    elif sub == "kernel-size":
-        value = model.kernel_size(args.alpha, args.hit_ratio, args.nu_out, args.t_eff)
-    elif sub == "ratio":
-        r = model.kernel_accessory_ratio(args.alpha, args.t_eff, args.t_u, args.m, args.universe)
-        payload = {"inputs": echo, "analytic": r.analytic, "empirical": r.empirical}
-        _dump_json(payload, sys.stdout)
-        return EXIT_OK
-    elif sub == "residuals":
-        r_m, r_p = model.special_point_residuals(args.a, args.k_r, args.m, args.universe, args.alpha_r)
-        _dump_json({"inputs": echo, "residual_M": r_m, "residual_p": r_p}, sys.stdout)
-        return EXIT_OK
-    elif sub == "growth":
-        value = analytics.alpha_growth_constant(args.alpha1, args.t1, args.alpha2, args.t2)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown model subcommand {sub!r}")
-    _dump_json({"inputs": echo, "value": value}, sys.stdout)
+    _dump_json({"inputs": echo, **args.relation(args)}, sys.stdout)
     return EXIT_OK
 
 
@@ -445,11 +398,6 @@ def cmd_model(args, manifest) -> int:
 _REPORT_FIELDS = (
     "S_eff_over_nu_int_days", "t_u_days", "T_eff_days", "H_pct", "HB_pct", "alpha", "alpha_R", "p",
 )
-
-
-def _csv_line(*values) -> str:
-    """One CSV row; a null is an empty field."""
-    return ",".join("" if v is None else str(v) for v in values) + "\n"
 
 
 def cmd_report(args, manifest) -> int:
@@ -496,9 +444,9 @@ def cmd_report(args, manifest) -> int:
     if lifetimes:
         path = os.path.join(args.out_dir, "lifetimes_vs_size.csv")
         with _open_out(path) as f:
-            f.write("S_eff_over_nu_int_days,t_u_days,T_eff_days\n")
-            for r in lifetimes:
-                f.write(_csv_line(r["S_eff_over_nu_int_days"], r["t_u_days"], r.get("T_eff_days")))
+            _csv_rows(f, ("S_eff_over_nu_int_days", "t_u_days", "T_eff_days")).writerows(
+                (r["S_eff_over_nu_int_days"], r["t_u_days"], r.get("T_eff_days")) for r in lifetimes
+            )
         outputs.append(path)
 
     hits = [r for r in sized if r.get("H_pct") is not None]
@@ -506,7 +454,7 @@ def cmd_report(args, manifest) -> int:
         anchor = hits[0]
         path = os.path.join(args.out_dir, "hit_ratio_vs_size.csv")
         with _open_out(path) as f:
-            f.write("S_eff_over_nu_int_days,H_pct,HB_pct,H_powerlaw_pct\n")
+            out = _csv_rows(f, ("S_eff_over_nu_int_days", "H_pct", "HB_pct", "H_powerlaw_pct"))
             for r in hits:
                 pred = model.hit_scaling(
                     anchor["H_pct"],
@@ -514,7 +462,7 @@ def cmd_report(args, manifest) -> int:
                     r["S_eff_over_nu_int_days"],
                     args.alpha,
                 )
-                f.write(_csv_line(r["S_eff_over_nu_int_days"], r["H_pct"], r.get("HB_pct"), pred))
+                out.writerow((r["S_eff_over_nu_int_days"], r["H_pct"], r.get("HB_pct"), pred))
         outputs.append(path)
 
     renewal = [
@@ -527,14 +475,14 @@ def cmd_report(args, manifest) -> int:
         path = os.path.join(args.out_dir, f"renewal_profile{suffix}.csv")
         p = float(r["p"])
         with _open_out(path) as f:
-            f.write("log10_rank,log10_count_ideal,log10_count_renewal\n")
+            out = _csv_rows(f, ("log10_rank", "log10_count_ideal", "log10_count_renewal"))
             steps = 50
             for j in range(steps + 1):
                 lg = j * math.log10(p) / steps
                 rank = 10.0**lg
                 ideal = r["alpha"] * math.log10(p / rank)
                 real = r["alpha_R"] * math.log10(p / rank)
-                f.write(f"{lg},{ideal},{real}\n")
+                out.writerow((lg, ideal, real))
         outputs.append(path)
 
     if not outputs:
@@ -545,6 +493,27 @@ def cmd_report(args, manifest) -> int:
 
 
 # --- argument wiring ---------------------------------------------------------
+
+
+def _value(relation, *flags):
+    """The JSON fields of a relation that gives one number: relation of the flags, in order."""
+    return lambda args: {"value": relation(*(getattr(args, flag) for flag in flags))}
+
+
+def _mu(args) -> dict:
+    if args.quantile is not None:
+        return {"value": model.mu_at_quantile(args.alpha, args.alpha_r, args.tst, args.quantile)}
+    if args.rank is None or args.universe is None:
+        raise InputError("mu needs --quantile, or --rank with --universe")
+    law = model.RenewalModel(args.alpha, args.alpha_r, args.tst, args.universe)
+    return {"value": model.mu_of_rank(law, args.rank)}
+
+
+def _wolman(args) -> dict:
+    two_valued = (args.mu_popular, args.mu_unpopular, args.popular_cutoff) != (None,) * 3
+    change = _two_valued(args) if two_valued else args.mu
+    params = model.WolmanParams(args.universe, args.alpha, args.rate, change)
+    return {"value": model.wolman_hit_ratio(params)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -606,14 +575,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="evaluate a closed-form relation")
     msub = p.add_subparsers(dest="model_command", required=True)
 
+    # Each relation's `relation` gives its JSON fields from the parsed flags.
     m = msub.add_parser("ideal-hit")
     m.add_argument("--alpha", type=float, required=True)
+    m.set_defaults(relation=_value(model.ideal_hit_ratio, "alpha"))
     m = msub.add_parser("ideal-hit-renewal")
     m.add_argument("--alpha", type=float, required=True)
     m.add_argument("--alpha-r", type=float, required=True)
+    m.set_defaults(relation=_value(model.ideal_hit_ratio_with_renewal, "alpha", "alpha_r"))
     m = msub.add_parser("normalization")
     m.add_argument("--alpha", type=float, required=True)
     m.add_argument("--universe", type=float, required=True)
+    m.set_defaults(relation=_value(model.zipf_normalization, "alpha", "universe"))
     m = msub.add_parser("mu")
     m.add_argument("--alpha", type=float, required=True)
     m.add_argument("--alpha-r", type=float, required=True)
@@ -621,6 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--quantile", type=float, help="rank as a fraction of the universe")
     m.add_argument("--rank", type=float)
     m.add_argument("--universe", type=float)
+    m.set_defaults(relation=_mu)
     m = msub.add_parser("wolman")
     m.add_argument("--universe", type=float, default=10000.0)
     m.add_argument("--alpha", type=float, default=0.8)
@@ -629,38 +603,52 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mu-popular", type=float)
     m.add_argument("--mu-unpopular", type=float)
     m.add_argument("--popular-cutoff", type=float)
+    m.set_defaults(relation=_wolman)
     m = msub.add_parser("expected-hit")
     m.add_argument("--pc", type=float, required=True)
     m.add_argument("--alpha", type=float, required=True, help="plain or renewal-flattened exponent")
     m.add_argument("--universe", type=float, required=True)
     m.add_argument("--kernel-objects", type=float, required=True)
+    m.set_defaults(
+        relation=_value(model.expected_hit_ratio, "pc", "alpha", "universe", "kernel_objects")
+    )
     m = msub.add_parser("scale")
     m.add_argument("--h1", type=float, required=True)
     m.add_argument("--s1", type=float, required=True)
     m.add_argument("--s2", type=float, required=True)
     m.add_argument("--alpha", type=float, required=True)
+    m.set_defaults(relation=_value(model.hit_scaling, "h1", "s1", "s2", "alpha"))
     m = msub.add_parser("kernel-size")
     m.add_argument("--alpha", type=float, required=True)
     m.add_argument("--hit-ratio", type=float, required=True)
     m.add_argument("--nu-out", type=float, required=True, help="requests/day")
     m.add_argument("--t-eff", type=float, required=True, help="days")
+    m.set_defaults(relation=_value(model.kernel_size, "alpha", "hit_ratio", "nu_out", "t_eff"))
     m = msub.add_parser("ratio")
     m.add_argument("--alpha", type=float, required=True)
     m.add_argument("--t-eff", type=float, required=True)
     m.add_argument("--t-u", type=float, required=True)
     m.add_argument("--m", type=float)
     m.add_argument("--universe", type=float)
+    m.set_defaults(relation=lambda a: vars(
+        model.kernel_accessory_ratio(a.alpha, a.t_eff, a.t_u, a.m, a.universe)
+    ))
     m = msub.add_parser("residuals")
     m.add_argument("--a", type=float, required=True, help="normalization constant")
     m.add_argument("--k-r", type=float, required=True)
     m.add_argument("--m", type=float, required=True)
     m.add_argument("--universe", type=float, required=True)
     m.add_argument("--alpha-r", type=float, required=True)
+    m.set_defaults(relation=lambda a: dict(zip(
+        ("residual_M", "residual_p"),
+        model.special_point_residuals(a.a, a.k_r, a.m, a.universe, a.alpha_r),
+    )))
     m = msub.add_parser("growth")
     m.add_argument("--alpha1", type=float, required=True)
     m.add_argument("--t1", type=float, required=True)
     m.add_argument("--alpha2", type=float, required=True)
     m.add_argument("--t2", type=float, required=True)
+    m.set_defaults(relation=_value(analytics.alpha_growth_constant, "alpha1", "t1", "alpha2", "t2"))
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("report", help="emit figure-data CSVs from result JSONs")
