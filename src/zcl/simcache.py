@@ -539,7 +539,8 @@ class CacheSim:
     Eviction as it happens, named by the caller's id, and only then is an
     id table held.  Object keys are opaque to process: it codes each
     record's key when it first arrives.  A size outside int64 raises
-    OverflowError, as Trace.from_records does, before the record changes
+    OverflowError, and a timestamp that is not finite or a size below 1
+    ValueError, as Trace.from_records does, before the record changes
     anything.
     """
 
@@ -567,6 +568,8 @@ class CacheSim:
         key, size = rec.object_id, rec.size_bytes
         if not -(2**63) <= size < 2**63:
             raise OverflowError(f"size {size} of {key!r} out of int64 range")
+        if not (math.isfinite(rec.timestamp) and size >= 1):
+            raise ValueError(f"{key!r}: timestamp {rec.timestamp} not finite or size {size} below 1")
         new = () if key in self._codes else (key,)
         code = self._codes.get(key, len(self._codes))
         block = Block(

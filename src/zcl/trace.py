@@ -155,6 +155,12 @@ class Block(NamedTuple):
     new_client_ids: tuple[str, ...]
 
 
+def _check_values(timestamps: np.ndarray, sizes: np.ndarray) -> None:
+    """Raise ValueError unless every timestamp is finite and every size at least 1."""
+    if not (np.isfinite(timestamps).all() and (sizes >= 1).all()):
+        raise ValueError("a timestamp is not finite or a size is below 1")
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A request stream held as columns, one entry per request, in stream order.
@@ -166,7 +172,9 @@ class Trace:
 
     It behaves as a sequence of TraceRecord: an int index gives one record,
     any other numpy index (slice, mask, index array) gives a Trace over the
-    same id tables, and iteration yields records in order.
+    same id tables, and iteration yields records in order.  Every timestamp
+    is finite and every size at least 1, as canonical CSV requires, so any
+    Trace survives write_canonical_csv and read_trace.
     """
 
     timestamps: np.ndarray
@@ -184,6 +192,7 @@ class Trace:
             columns.append(self.origin_hit)
         if any(len(column) != len(self.timestamps) for column in columns):
             raise ValueError("trace columns must have equal length")
+        _check_values(self.timestamps, self.sizes)
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> Trace:
@@ -521,8 +530,7 @@ def read_blocks(stream: IO[str]) -> Iterator[Block]:
             ts, client, obj, size, flag, *origin = columns
             timestamps = np.array(ts, dtype=np.float64)
             sizes = np.array(size, dtype=np.int64)
-            if not (np.isfinite(timestamps).all() and (sizes >= 1).all()):
-                raise ValueError("a timestamp is not finite or a size is below 1")
+            _check_values(timestamps, sizes)
             objects, new_objects = _interned(obj, object_table)
             clients, new_clients = _interned(client, client_table)
             return Block(

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import random
 import re
 from typing import NamedTuple
@@ -273,6 +274,25 @@ def test_process_rejects_a_charge_beyond_int64(policy):
         objects.process(huge)
     with pytest.raises(OverflowError):
         objects.process(rec(3, "C", size=2**64, cacheable=False))
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("bad", [
+    rec(math.nan, "B"), rec(math.inf, "B"), rec(3, "B", size=0), rec(3, "B", size=-4),
+    rec(math.nan, "A", size=5, cacheable=False),
+])
+def test_process_rejects_what_a_trace_rejects(policy, bad):
+    with pytest.raises(ValueError, match="not finite"):
+        Trace.from_records([bad])
+    sim = CacheSim(CacheConfig(capacity_bytes=100, policy=policy))
+    sim.process(rec(1, "A", size=5))
+    before = sim.result()
+    with pytest.raises(ValueError, match="not finite"):
+        sim.process(bad)
+    # The rejected record changed nothing.
+    assert sim.result() == before
+    assert sim.process(rec(3, "A", size=5)) == HIT
+    sim.check_invariants()
 
 
 # --- segmented construction -------------------------------------------------------

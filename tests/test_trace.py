@@ -1,11 +1,12 @@
 import csv
 import dataclasses
 import io
+import math
 import os
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zcl import trace as trace_module
@@ -244,6 +245,30 @@ records_strategy = st.lists(
 @settings(max_examples=150)
 def test_csv_roundtrip_identity(records):
     assert roundtrip(records) == records
+
+
+@given(records=st.lists(
+    st.builds(
+        TraceRecord,
+        timestamp=st.floats(),
+        client_id=ids,
+        object_id=ids,
+        size_bytes=st.integers(min_value=-3, max_value=2**64),
+        cacheable=st.booleans(),
+        origin_hit=st.one_of(st.none(), st.booleans()),
+    ),
+    max_size=8,
+))
+@example(records=[TraceRecord(math.nan, "c", "o", 5, True)])
+@example(records=[TraceRecord(1.0, "c", "o", 0, True), TraceRecord(2.0, "c", "o", -5, True)])
+@settings(max_examples=200)
+def test_a_trace_holds_only_records_that_canonical_csv_reads_back(records):
+    try:
+        trace = Trace.from_records(records)
+    except (ValueError, OverflowError):
+        assert any(not (math.isfinite(r.timestamp) and 1 <= r.size_bytes < 2**63) for r in records)
+    else:
+        assert roundtrip(trace) == records
 
 
 def test_csv_roundtrip_thousand_records():
