@@ -75,10 +75,10 @@ def zipf_normalization(alpha: float, p: float) -> float:
     return (1.0 - alpha) / (p ** (1.0 - alpha) - 1.0)
 
 
-def zipf_integral(alpha: float, upper: float, lower: float = 1.0) -> float:
-    """integral(x**-alpha, x=lower..upper) in closed form, alpha != 1."""
+def zipf_integral(alpha: float, upper: float) -> float:
+    """integral(x**-alpha, x=1..upper) in closed form, alpha != 1."""
     e = 1.0 - alpha
-    return (upper**e - lower**e) / e
+    return (upper**e - 1.0) / e
 
 
 @dataclass(frozen=True)

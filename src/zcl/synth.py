@@ -87,7 +87,6 @@ class SyntheticTrace:
 
     records: Trace
     changes: dict[str, list[float]]  # object_id -> sorted change times (s)
-    change_rates: dict[str, float]  # object_id -> rate per day, zero omitted
 
 
 def _zipf_ranks(rng: np.random.Generator, n: int, alpha: float, count: int) -> np.ndarray:
@@ -157,15 +156,12 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
         else np.full(n, spec.renewal)
     )
     changes: dict[str, list[float]] = {}
-    change_rates: dict[str, float] = {}
     active = np.nonzero(mus > 0)[0]
     if active.size:
         event_counts = rng.poisson(mus[active] * spec.horizon_days)
         for idx, n_events in zip(active, event_counts):
-            obj = f"o{idx + 1}"
-            change_rates[obj] = float(mus[idx])
             if n_events:
-                changes[obj] = sorted((rng.random(int(n_events)) * horizon_s).tolist())
+                changes[f"o{idx + 1}"] = sorted((rng.random(int(n_events)) * horizon_s).tolist())
 
     request_sizes = np.concatenate((other_sizes[::-1], sizes))[slots]
     # Ids only for slots that occur: a slot's code is the number of occurring
@@ -187,4 +183,4 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
         sizes=request_sizes,
         cacheable=cacheable,
     )
-    return SyntheticTrace(records=records, changes=changes, change_rates=change_rates)
+    return SyntheticTrace(records=records, changes=changes)

@@ -166,8 +166,6 @@ def test_rank_dependent_total_events_match_expectation():
     expected = rates.sum() * 15.0
     observed = sum(len(v) for v in out.changes.values())
     assert observed == pytest.approx(expected, abs=4 * np.sqrt(expected))
-    # ground-truth rates are reported per object
-    assert out.change_rates["o1"] == pytest.approx(rates[0])
 
 
 def test_change_events_inside_horizon_and_sorted():
@@ -224,15 +222,18 @@ def grid_spec(universe, fraction, renewal, per_client_rate=100.0):
     )
 
 
-def output_digest(out):
+def output_digest(out, spec):
     """SHA-256 (first 16 hex digits) over every column's dtype and bytes, both
-    id tables, the change log and the change rates."""
+    id tables, the change log and the spec's non-zero change rates by id."""
     digest = hashlib.sha256()
     t = out.records
     for column in (t.timestamps, t.objects, t.clients, t.sizes, t.cacheable):
         digest.update(column.dtype.str.encode())
         digest.update(column.tobytes())
-    for part in (t.object_ids, t.client_ids, out.changes, out.change_rates):
+    ranks = np.arange(1, spec.universe_size + 1, dtype=float)
+    mus = spec.renewal(ranks) if callable(spec.renewal) else np.full(len(ranks), spec.renewal)
+    rates = {f"o{i + 1}": float(mus[i]) for i in np.flatnonzero(mus > 0)}
+    for part in (t.object_ids, t.client_ids, out.changes, rates):
         digest.update(repr(part).encode())
     return digest.hexdigest()[:16]
 
@@ -289,15 +290,17 @@ GRID_DIGESTS = {
 
 @pytest.mark.parametrize("universe,fraction,renewal", list(GRID_DIGESTS))
 def test_generator_output_is_pinned(universe, fraction, renewal):
-    out = generate_synthetic_trace(grid_spec(universe, fraction, renewal))
-    assert output_digest(out) == GRID_DIGESTS[universe, fraction, renewal]
+    spec = grid_spec(universe, fraction, renewal)
+    out = generate_synthetic_trace(spec)
+    assert output_digest(out, spec) == GRID_DIGESTS[universe, fraction, renewal]
 
 
 def test_generator_output_is_pinned_when_no_request_arrives():
-    out = generate_synthetic_trace(grid_spec(10, 0.85, "two", per_client_rate=1e-6))
+    spec = grid_spec(10, 0.85, "two", per_client_rate=1e-6)
+    out = generate_synthetic_trace(spec)
     assert len(out.records) == 0
     assert out.changes  # the change log is still drawn
-    assert output_digest(out) == "8a8bb6d1f217535c"
+    assert output_digest(out, spec) == "8a8bb6d1f217535c"
 
 
 @pytest.mark.parametrize("universe,fraction,renewal", list(GRID_DIGESTS))
