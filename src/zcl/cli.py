@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="evaluate a closed-form relation")
     msub = p.add_subparsers(dest="model_command", required=True)
 
-    # Each relation's `relation` gives its JSON fields from the parsed flags.
+    # Each relation sets `relation`: the function of its parsed flags that gives its JSON fields.
     m = msub.add_parser("ideal-hit")
     m.add_argument("--alpha", type=float, required=True)
     m.set_defaults(relation=_value(model.ideal_hit_ratio, "alpha"))

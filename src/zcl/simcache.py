@@ -569,7 +569,8 @@ class CacheSim:
         if not -(2**63) <= size < 2**63:
             raise OverflowError(f"size {size} of {key!r} out of int64 range")
         if not (math.isfinite(rec.timestamp) and size >= 1):
-            raise ValueError(f"{key!r}: timestamp {rec.timestamp} not finite or size {size} below 1")
+            raise ValueError(f"{key!r}: timestamp {rec.timestamp} is not finite or size {size} "
+                             "is below 1")
         new = () if key in self._codes else (key,)
         code = self._codes.get(key, len(self._codes))
         block = Block(

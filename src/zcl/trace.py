@@ -156,8 +156,14 @@ class Block(NamedTuple):
 
 
 def _check_values(timestamps: np.ndarray, sizes: np.ndarray) -> None:
-    """Raise ValueError unless every timestamp is finite and every size at least 1."""
-    if not (np.isfinite(timestamps).all() and (sizes >= 1).all()):
+    """Raise ValueError unless every timestamp is finite and every size at least 1.
+
+    A NaN or an infinity anywhere makes the column's min or max one, so the
+    check takes no temporary column.
+    """
+    if len(timestamps) and not (
+        np.isfinite(timestamps.min()) and np.isfinite(timestamps.max()) and sizes.min() >= 1
+    ):
         raise ValueError("a timestamp is not finite or a size is below 1")
 
 
