@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -590,13 +591,22 @@ def test_cache_config_keys_left_out_take_cache_config_defaults():
     assert cli._cache_config({"capacity_bytes": "5"}) == CacheConfig(capacity_bytes=5)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_cache_config_example_parses(tmp_path):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = write(tmp_path / "cache.cfg", block)
     assert cli._cache_config(cli._parse_flat_config(cfg)) == CacheConfig(
         2147483648, Policy.ZIPF_CONSTRUCTION, kernel_fraction=0.333333, byte_accounting=True
     )
+
+
+def test_readme_library_example_prints_three_finite_numbers(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library example\n", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    printed = [float(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(printed) == 3 and all(map(math.isfinite, printed))
 
 
 def test_cli_import_leaves_out_multiprocessing():
@@ -1050,6 +1060,59 @@ def test_manifest_records_declared_files_and_parameters(tmp_path, monkeypatch, c
     assert manifest["command"] == argv[0]
     assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
     assert (manifest["parameters"], manifest["status"]) == (parameters, status)
+
+
+# Input errors that exit 2: the command line, the start of the message, and
+# the manifest's anchor (None for `model`, which writes none).
+MU = "model mu --alpha 0.72 --alpha-r 0.7 --tst 15"
+ERROR_CASES = {
+    "missing change log": (
+        "simulate t.csv c.cfg --changes nope.csv --out r.json",
+        "error: cannot read change log nope.csv", "r.json",
+    ),
+    "config line without =": (
+        "simulate t.csv flat.cfg --out r.json",
+        "error: flat.cfg:2: expected key=value, got 'policy lru'", "r.json",
+    ),
+    "missing config": (
+        "simulate t.csv nope.cfg --out r.json",
+        "error: cannot read config nope.cfg", "r.json",
+    ),
+    "missing result": (
+        "report nope.json --out-dir figs",
+        "error: cannot read result nope.json", os.path.join("figs", "report"),
+    ),
+    "result not JSON": (
+        "report bad.json --out-dir figs",
+        "error: bad.json is not JSON", os.path.join("figs", "report"),
+    ),
+    "nulls only": (
+        "report nulls.json --out-dir figs",
+        "error: result set has no plottable fields", os.path.join("figs", "report"),
+    ),
+    "mu without quantile or rank": (
+        f"{MU} --rank 10", "error: mu needs --quantile, or --rank with --universe", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_input_errors_exit_2_with_their_message(tmp_path, monkeypatch, capsys, case):
+    command, message, anchor = ERROR_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    trace_csv(tmp_path / "t.csv", [row(0.0, "A"), row(1.0, "A")])
+    objects_cfg(tmp_path / "c.cfg", 5)
+    write(tmp_path / "flat.cfg", "capacity_bytes=5\npolicy lru\n")
+    write(tmp_path / "bad.json", "{not json")
+    write(tmp_path / "nulls.json", json.dumps(result_row(None, None, None)))
+    inputs = sorted(os.listdir(tmp_path))
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+    if anchor is None:
+        assert sorted(os.listdir(tmp_path)) == inputs
+    else:
+        assert json.loads(Path(anchor + ".manifest.json").read_text())["status"] == "incomplete"
 
 
 def test_synth_reruns_from_its_manifest(tmp_path, capsys):

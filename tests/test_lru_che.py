@@ -3,12 +3,12 @@
 Che, Tung & Wang (IEEE JSAC 2002) give the LRU hit ratio under independent
 Zipf requests through one characteristic time; Fricker, Robert & Roberts
 (ITC 2012) show it is accurate to well under 1e-3 at these cache sizes.
-The bisection below is this file's own copy: nothing here asks zcl for an
-expected value.
+The bisection is in tests/oracles.py, which imports nothing from zcl:
+nothing here asks zcl for an expected value.
 """
 
-import numpy as np
 import pytest
+from oracles import che_hit_ratio
 
 from zcl.simcache import CacheConfig, Policy, simulate
 from zcl.synth import SyntheticWorkloadSpec, generate_synthetic_trace
@@ -20,27 +20,6 @@ WARMUP = 100_000  # requests replayed before hits are counted
 # Che error (< 1e-3 here) plus five standard errors of a hit ratio over
 # ~1.7e5 cacheable requests (5 * sqrt(0.25 / 1.7e5) ~ 6e-3), rounded up.
 TOLERANCE = 0.01
-
-
-def che_hit_ratio(alpha: float, universe: int, capacity: int) -> float:
-    """Hit ratio of an LRU cache of `capacity` objects under Zipf(alpha) requests.
-
-    The characteristic time t solves sum_i (1 - exp(-q_i t)) = capacity; the
-    hit ratio is sum_i q_i (1 - exp(-q_i t)).
-    """
-    q = np.arange(1, universe + 1, dtype=float) ** -alpha
-    q /= q.sum()
-    lo, hi = 0.0, 1.0
-    while -np.expm1(-q * hi).sum() < capacity:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if -np.expm1(-q * mid).sum() < capacity:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    return float((q * -np.expm1(-q * t)).sum())
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import math
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -410,6 +411,16 @@ def test_read_ahead_blocks_concatenate_to_read_trace(monkeypatch, read_mode, blo
         first_seen = dict.fromkeys(whole.object_ids[code] for code in block.objects.tolist())
         assert block.new_object_ids == tuple(obj for obj in first_seen if obj not in seen)
         seen.update(first_seen)
+
+
+@pytest.mark.parametrize("records", [PLAIN_RECORDS, QUOTED_RECORDS], ids=["plain", "quoted"])
+def test_an_int_index_gives_the_record_iteration_gives(records):
+    trace = Trace.from_records(records)
+    assert [trace[i] for i in range(-len(trace), len(trace))] == records + records
+    assert trace[np.int64(3)] == records[3]
+    for index in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            trace[index]
 
 
 @pytest.mark.parametrize("rows", [0, 6, 7])
