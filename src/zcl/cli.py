@@ -502,6 +502,8 @@ def _value(relation, *flags):
 
 def _mu(args) -> dict:
     if args.quantile is not None:
+        if (args.rank, args.universe) != (None, None):
+            raise InputError("mu takes --quantile or --rank with --universe, not both")
         return {"value": model.mu_at_quantile(args.alpha, args.alpha_r, args.tst, args.quantile)}
     if args.rank is None or args.universe is None:
         raise InputError("mu needs --quantile, or --rank with --universe")
@@ -511,6 +513,8 @@ def _mu(args) -> dict:
 
 def _wolman(args) -> dict:
     two_valued = (args.mu_popular, args.mu_unpopular, args.popular_cutoff) != (None,) * 3
+    if two_valued and args.mu != 0.0:
+        raise InputError("give --mu or --mu-popular/--mu-unpopular/--popular-cutoff, not both")
     change = _two_valued(args) if two_valued else args.mu
     params = model.WolmanParams(args.universe, args.alpha, args.rate, change)
     return {"value": model.wolman_hit_ratio(params)}

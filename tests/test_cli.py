@@ -1065,6 +1065,7 @@ def test_manifest_records_declared_files_and_parameters(tmp_path, monkeypatch, c
 # Input errors that exit 2: the command line, the start of the message, and
 # the manifest's anchor (None for `model`, which writes none).
 MU = "model mu --alpha 0.72 --alpha-r 0.7 --tst 15"
+BOTH_MU = "error: give --mu or --mu-popular/--mu-unpopular/--popular-cutoff, not both"
 ERROR_CASES = {
     "missing change log": (
         "simulate t.csv c.cfg --changes nope.csv --out r.json",
@@ -1093,6 +1094,19 @@ ERROR_CASES = {
     "mu without quantile or rank": (
         f"{MU} --rank 10", "error: mu needs --quantile, or --rank with --universe", None,
     ),
+    "mu quantile with rank": (
+        f"{MU} --quantile 0.25 --rank 10",
+        "error: mu takes --quantile or --rank with --universe, not both", None,
+    ),
+    "mu quantile with universe": (
+        f"{MU} --quantile 0.25 --universe 1000",
+        "error: mu takes --quantile or --rank with --universe, not both", None,
+    ),
+    "wolman mu with two-valued law": (
+        "model wolman --mu 1 --mu-popular 2 --mu-unpopular 0.1 --popular-cutoff 1000",
+        BOTH_MU, None,
+    ),
+    "wolman mu with cutoff": ("model wolman --mu 0.5 --popular-cutoff 1000", BOTH_MU, None),
 }
 
 
@@ -1134,10 +1148,10 @@ def test_model_writes_no_manifest_and_echoes_only_its_flags(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     assert main(["model", "ideal-hit", "--alpha", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["inputs"] == {"alpha": 0.5}
-    assert main(["model", "wolman", "--mu", "1", "--popular-cutoff", "5",
+    assert main(["model", "wolman", "--mu", "0", "--popular-cutoff", "5",
                  "--mu-popular", "2", "--mu-unpopular", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["inputs"] == {
-        "universe": 10000.0, "alpha": 0.8, "rate": 10000.0, "mu": 1.0,
+        "universe": 10000.0, "alpha": 0.8, "rate": 10000.0, "mu": 0.0,
         "mu_popular": 2.0, "mu_unpopular": 0.5, "popular_cutoff": 5.0,
     }
     assert os.listdir(tmp_path) == []
