@@ -17,7 +17,6 @@ eviction sink, and keeps only the durations the residence means need.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .trace import SECONDS_PER_DAY, Block, Trace, TraceRecord
+from .trace import SECONDS_PER_DAY, Block, Trace, TraceRecord, csv_rows
 
 __all__ = [
     "PopularityProfile",
@@ -372,10 +371,10 @@ def alpha_growth_constant(
 
 def export_profile_csv(profile: PopularityProfile, out: IO[str]) -> int:
     """Write `rank,object_id,count` rows, rank ascending (count descending)."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", "object_id", "count"])
-    for rank, (obj, cnt) in enumerate(zip(profile.object_ids, profile.counts), start=1):
-        writer.writerow([rank, obj, int(cnt)])
+    csv_rows(out, ("rank", "object_id", "count")).writerows(
+        (rank, obj, int(cnt))
+        for rank, (obj, cnt) in enumerate(zip(profile.object_ids, profile.counts), start=1)
+    )
     return profile.p
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -347,14 +346,6 @@ def _simulation_payload(result: simcache.SimulationResult, config: simcache.Cach
     return payload
 
 
-def _csv_rows(f, header):
-    """A csv.writer on f that has written header; it writes None as an empty
-    field and a float as its repr."""
-    rows = csv.writer(f, lineterminator="\n")
-    rows.writerow(header)
-    return rows
-
-
 def cmd_simulate(args, manifest) -> int:
     if len(args.configs) > 1 and (args.evictions_out or args.occupancy_out):
         raise InputError("eviction/occupancy dumps need a single config")
@@ -368,7 +359,7 @@ def cmd_simulate(args, manifest) -> int:
         ) as ev_file:
             # The sink writes each Eviction as a row: its fields run in the header's order.
             header = ("object_id", "insert_ts", "evict_ts", "count")
-            sinks = None if ev_file is None else [_csv_rows(ev_file, header).writerow]
+            sinks = None if ev_file is None else [trace.csv_rows(ev_file, header).writerow]
             results = simcache.replay(blocks, configs, changes, sinks)
     payloads = [_simulation_payload(res, cfg) for res, cfg in zip(results, configs)]
     out_doc = payloads[0] if len(payloads) == 1 else payloads
@@ -379,7 +370,7 @@ def cmd_simulate(args, manifest) -> int:
         with _open_out(args.occupancy_out) as f:
             # An OccupancySample's fields run in the header's order.
             header = ("timestamp_s", "kernel_bytes", "accessory_bytes", "managing_entries")
-            _csv_rows(f, header).writerows(result.occupancy)
+            trace.csv_rows(f, header).writerows(result.occupancy)
     _dump_json(out_doc if isinstance(out_doc, dict) else {"results": out_doc}, sys.stdout)
     return EXIT_OK
 
@@ -444,7 +435,7 @@ def cmd_report(args, manifest) -> int:
     if lifetimes:
         path = os.path.join(args.out_dir, "lifetimes_vs_size.csv")
         with _open_out(path) as f:
-            _csv_rows(f, ("S_eff_over_nu_int_days", "t_u_days", "T_eff_days")).writerows(
+            trace.csv_rows(f, ("S_eff_over_nu_int_days", "t_u_days", "T_eff_days")).writerows(
                 (r["S_eff_over_nu_int_days"], r["t_u_days"], r.get("T_eff_days")) for r in lifetimes
             )
         outputs.append(path)
@@ -454,7 +445,7 @@ def cmd_report(args, manifest) -> int:
         anchor = hits[0]
         path = os.path.join(args.out_dir, "hit_ratio_vs_size.csv")
         with _open_out(path) as f:
-            out = _csv_rows(f, ("S_eff_over_nu_int_days", "H_pct", "HB_pct", "H_powerlaw_pct"))
+            out = trace.csv_rows(f, ("S_eff_over_nu_int_days", "H_pct", "HB_pct", "H_powerlaw_pct"))
             for r in hits:
                 pred = model.hit_scaling(
                     anchor["H_pct"],
@@ -475,7 +466,7 @@ def cmd_report(args, manifest) -> int:
         path = os.path.join(args.out_dir, f"renewal_profile{suffix}.csv")
         p = float(r["p"])
         with _open_out(path) as f:
-            out = _csv_rows(f, ("log10_rank", "log10_count_ideal", "log10_count_renewal"))
+            out = trace.csv_rows(f, ("log10_rank", "log10_count_ideal", "log10_count_renewal"))
             steps = 50
             for j in range(steps + 1):
                 lg = j * math.log10(p) / steps

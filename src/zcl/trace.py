@@ -654,6 +654,15 @@ def read_canonical_csv(stream: IO[str]) -> Iterator[TraceRecord]:
     yield from read_trace(stream)
 
 
+def csv_rows(out: IO[str], header: Sequence[str]):
+    """A csv.writer on out that has written header, in the dialect of every CSV
+    but the canonical one: a bare newline ends a row, None is an empty field
+    and a float is written as its repr."""
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(header)
+    return rows
+
+
 def write_change_log_csv(changes: dict[str, list[float]], out: IO[str]) -> int:
     """Write per-object change events as `object_id,change_timestamp_s` rows.
 
@@ -663,10 +672,9 @@ def write_change_log_csv(changes: dict[str, list[float]], out: IO[str]) -> int:
     events = sorted(
         ((t, obj) for obj, times in changes.items() for t in times),
     )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["object_id", "change_timestamp_s"])
-    for t, obj in events:
-        writer.writerow([obj, repr(t)])
+    csv_rows(out, ("object_id", "change_timestamp_s")).writerows(
+        (obj, repr(t)) for t, obj in events
+    )
     return len(events)
 
 
