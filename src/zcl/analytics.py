@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -382,22 +382,23 @@ def export_profile_csv(profile: PopularityProfile, out: IO[str]) -> int:
 class MeasurementSummary:
     """Headline measurements of one simulated (or logged) configuration.
 
-    Mirrors the usual proxy report: request rates on the user side (nu_out)
-    and the network side (nu_int), hit ratios by requests and by bytes,
-    mean document sizes from cache E(C) and from the network E(S), and the
-    observation window.  KByte is 1024 bytes; Kbit/s uses 1000.
+    Mirrors the usual proxy report, each field named as its JSON key:
+    request rates on the user side (nu_out) and the network side (nu_int),
+    hit ratios by requests and by bytes in percent, mean document sizes from
+    cache E(C) and from the network E(S), and the observation window.  KByte
+    is 1024 bytes; Kbit/s uses 1000.
     """
 
-    nu_out_rpd: float
-    nu_int_rpd: float
-    hit_ratio: float
-    nu_b_out_kbps: float
-    nu_b_int_kbps: float
-    byte_hit_ratio: float
-    mean_cache_doc_kbyte: float | None
-    mean_origin_doc_kbyte: float | None
-    window_days: float
-    size_to_traffic_days: float | None
+    S_eff_over_nu_int_days: float | None
+    nu_out_Rpd: float
+    nu_int_Rpd: float
+    H_pct: float
+    nu_B_out_kbps: float
+    nu_B_int_kbps: float
+    HB_pct: float
+    E_C_kbyte: float | None
+    E_S_kbyte: float | None
+    T_st_days: float
 
     @classmethod
     def from_simulation(cls, result) -> "MeasurementSummary":
@@ -414,28 +415,17 @@ class MeasurementSummary:
         if flow > 0 and days > 0:
             size_days = result.capacity_bytes / (flow / days)
         return cls(
-            nu_out_rpd=result.nu_out,
-            nu_int_rpd=result.nu_int,
-            hit_ratio=result.hit_ratio,
-            nu_b_out_kbps=to_kbps(result.total_bytes),
-            nu_b_int_kbps=to_kbps(result.origin_bytes),
-            byte_hit_ratio=result.byte_hit_ratio,
-            mean_cache_doc_kbyte=e_c,
-            mean_origin_doc_kbyte=e_s,
-            window_days=days,
-            size_to_traffic_days=size_days,
+            S_eff_over_nu_int_days=size_days,
+            nu_out_Rpd=result.nu_out,
+            nu_int_Rpd=result.nu_int,
+            H_pct=result.hit_ratio * 100.0,
+            nu_B_out_kbps=to_kbps(result.total_bytes),
+            nu_B_int_kbps=to_kbps(result.origin_bytes),
+            HB_pct=result.byte_hit_ratio * 100.0,
+            E_C_kbyte=e_c,
+            E_S_kbyte=e_s,
+            T_st_days=days,
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "S_eff_over_nu_int_days": self.size_to_traffic_days,
-            "nu_out_Rpd": self.nu_out_rpd,
-            "nu_int_Rpd": self.nu_int_rpd,
-            "H_pct": self.hit_ratio * 100.0,
-            "nu_B_out_kbps": self.nu_b_out_kbps,
-            "nu_B_int_kbps": self.nu_b_int_kbps,
-            "HB_pct": self.byte_hit_ratio * 100.0,
-            "E_C_kbyte": self.mean_cache_doc_kbyte,
-            "E_S_kbyte": self.mean_origin_doc_kbyte,
-            "T_st_days": self.window_days,
-        }
+        return asdict(self)

@@ -17,6 +17,9 @@ Two replacement policies:
 Renewal is modeled through an optional change log: a request for a resident
 object whose content changed since it was last fetched counts as a miss
 (an updating request) and refreshes the copy in place, without eviction.
+The fetch time is not stored: a resident copy was fetched at its object's
+previous request, or no change has fallen since then (that request was a
+hit), so a change since the fetch is one since the previous request.
 A stale request still advances the object's request count, so on an
 accessory object it triggers the usual promotion to the kernel.
 
@@ -215,7 +218,7 @@ class _Engine:
     Objects are dense int codes, and each engine keeps its per-object state
     in array columns indexed by code, grown with grow(n) as codes are handed
     out: count, the requests since the object's entry was made (0 when it
-    has none), last_fetch and residency_start (timestamps) and charge.
+    has none), charge, and last_request and residency_start (timestamps).
     Under LRU an entry lives for one residency; under the construction it
     lives until the managing part drops it.  changes is the change log keyed
     by code, and ids the id of each code, held only when a sink is attached;
@@ -236,30 +239,28 @@ class _Engine:
         self.bypassed = 0
         self.count = array("q")
         self.charge = array("q")
-        self.last_fetch = array("d")
+        self.last_request = array("d")
         self.residency_start = array("d")
 
     def grow(self, n: int):
         """Add the columns' rows for n more codes, with no entries."""
         zeros = bytes(8 * n)
-        for column in (self.count, self.charge, self.last_fetch, self.residency_start):
+        for column in (self.count, self.charge, self.last_request, self.residency_start):
             column.frombytes(zeros)
 
     def _refetch(self, obj: int, now: float) -> bool:
-        """Whether obj's copy changed since its fetch; if so it is fetched at now."""
+        """Whether resident obj's copy changed since its fetch: a change in
+        (last_request, now], read before last_request moves to now."""
         times = self.changes.get(obj)
         if not times:
             return False
         i = bisect_right(times, now)
-        if i == 0 or times[i - 1] <= self.last_fetch[obj]:
-            return False
-        self.last_fetch[obj] = now
-        return True
+        return i > 0 and times[i - 1] > self.last_request[obj]
 
     def _make_entry(self, obj: int, now: float, charge: int):
         self.count[obj] = 1
         self.charge[obj] = charge
-        self.last_fetch[obj] = self.residency_start[obj] = now
+        self.last_request[obj] = self.residency_start[obj] = now
 
     def _log_eviction(self, obj: int, now: float):
         self.evictions += 1
@@ -279,9 +280,9 @@ class _LruEngine(_Engine):
         if n:
             count[obj] = n + 1
             self.entries.move_to_end(obj)
-            if self.changes and self._refetch(obj, now):
-                return _STALE_MISS
-            return _HIT
+            outcome = _STALE_MISS if self.changes and self._refetch(obj, now) else _HIT
+            self.last_request[obj] = now
+            return outcome
         if charge > self.capacity:
             self.bypassed += 1
             return _MISS
@@ -326,13 +327,12 @@ class _ZipfEngine(_Engine):
       the order in which they last became ghosts.
 
     Besides the shared columns each object has a tick, the engine's clock at
-    its last repeat request or on becoming a ghost; its last_request; its
-    part (_GHOST, _ACCESSORY or _KERNEL) and queued, whether it has a ghost
-    heap entry, in bytearrays.  managing counts the entries.  An object's
-    heap keys only grow while its entry lives, so each lazy heap holds at
-    most one entry per object, never ahead of its key, and puts an
-    out-of-date top back under its current key: a current top is the true
-    minimum.
+    its last repeat request or on becoming a ghost; its part (_GHOST,
+    _ACCESSORY or _KERNEL) and queued, whether it has a ghost heap entry, in
+    bytearrays.  managing counts the entries.  An object's heap keys only
+    grow while its entry lives, so each lazy heap holds at most one entry per
+    object, never ahead of its key, and puts an out-of-date top back under
+    its current key: a current top is the true minimum.
     """
 
     def __init__(self, config: CacheConfig, sink: EvictionSink | None):
@@ -340,7 +340,6 @@ class _ZipfEngine(_Engine):
         self.kernel_capacity = int(config.capacity_bytes * config.kernel_fraction)
         self.accessory_capacity = config.capacity_bytes - self.kernel_capacity
         self.tick = array("q")
-        self.last_request = array("d")
         self.part = bytearray()
         self.queued = bytearray()
         self.managing = 0
@@ -363,9 +362,7 @@ class _ZipfEngine(_Engine):
 
     def grow(self, n: int):
         super().grow(n)
-        zeros = bytes(8 * n)
-        self.tick.frombytes(zeros)
-        self.last_request.frombytes(zeros)
+        self.tick.frombytes(bytes(8 * n))
         self.part += bytes(n)
         self.queued += bytes(n)
 
@@ -459,7 +456,6 @@ class _ZipfEngine(_Engine):
             # first since its entry was dropped.
             self._make_entry(obj, now, charge)
             self.tick[obj] = 0
-            self.last_request[obj] = now
             self.part[obj] = _GHOST
             self.managing += 1
             self._charge_sum += charge
@@ -469,12 +465,12 @@ class _ZipfEngine(_Engine):
             return _MISS
 
         count[obj] = n
-        self.last_request[obj] = now
         self._tick = self.tick[obj] = self._tick + 1
 
         part = self.part[obj]
         if part:  # resident
             outcome = _STALE_MISS if self.changes and self._refetch(obj, now) else _HIT
+            self.last_request[obj] = now
             if part == _ACCESSORY:
                 # Promotion: a repeat request moves it from accessory to the
                 # kernel; residency_start is kept, so residence spans both parts.
@@ -485,7 +481,7 @@ class _ZipfEngine(_Engine):
 
         # Returning ghost: statistics survived eviction, so the refetched
         # copy goes straight into the kernel.
-        self.last_fetch[obj] = self.residency_start[obj] = now
+        self.last_request[obj] = self.residency_start[obj] = now
         self._insert_kernel(obj, now)
         return _MISS
 
@@ -582,16 +578,14 @@ class CacheSim:
             self._codes[key] = code
         return _OUTCOMES[outcomes[0]] if rec.cacheable else UNCACHEABLE
 
-    def _replay(self, block: Block, requests: tuple[list, list] | None = None) -> np.ndarray:
+    def _replay(self, block: Block) -> np.ndarray:
         """Apply a block of requests and return the outcomes of its cacheable ones.
 
         The block's new ids take the next codes: the engine's columns grow
         by as many rows, the change log is re-keyed to them and, with a
-        sink, they join the id table.  requests, if given, holds the
-        cacheable requests' object codes and timestamps as lists, which
-        replay makes once for every configuration; each is charged its size,
-        or 1 in objects mode.  numpy does the per-event bookkeeping (order
-        check, totals, the uncacheable requests); Python runs only the
+        sink, they join the id table.  Each cacheable request is charged its
+        size, or 1 in objects mode.  numpy does the per-event bookkeeping
+        (order check, totals, the uncacheable requests); Python runs only the
         engine, once per cacheable request, pausing at each occupancy sample
         point.  An out-of-order block raises before it changes anything.
         """
@@ -617,8 +611,6 @@ class CacheSim:
         outcomes = np.empty(len(cacheable), dtype=np.int8)
         if not n:
             return outcomes
-        if requests is None:
-            requests = block.objects[cacheable].tolist(), times[cacheable].tolist()
         sizes = block.sizes
         c_sizes = sizes[cacheable]
         charges = c_sizes.tolist() if self.config.byte_accounting else repeat(1)
@@ -627,7 +619,9 @@ class CacheSim:
         stride = self.config.occupancy_stride
         samples = np.arange((-r.requests - 1) % stride, n, stride)
         cuts = np.searchsorted(cacheable, samples, side="right")
-        accesses = map(engine.access, *requests, charges)
+        accesses = map(
+            engine.access, block.objects[cacheable].tolist(), times[cacheable].tolist(), charges
+        )
         occupancy = engine.occupancy
         done = 0
         for cut, now in zip(cuts.tolist(), times[samples].tolist()):
@@ -670,9 +664,8 @@ def replay(
     """Run several configurations, in config order, over one stream of trace blocks.
 
     Each block is replayed through every configuration's CacheSim before the
-    next is taken, with the block's object codes and timestamps as lists
-    made once for all of them.  sinks, if given, holds one eviction sink (or
-    None) per configuration; with no sink a CacheSim holds no id.
+    next is taken.  sinks, if given, holds one eviction sink (or None) per
+    configuration; with no sink a CacheSim holds no id.
     """
     if not configs:
         raise ValueError("need at least one configuration")
@@ -682,10 +675,8 @@ def replay(
         raise ValueError(f"{len(sinks)} eviction sinks for {len(configs)} configurations")
     sims = [CacheSim(config, changes, sink) for config, sink in zip(configs, sinks)]
     for block in blocks:
-        cacheable = np.flatnonzero(block.cacheable)
-        requests = block.objects[cacheable].tolist(), block.timestamps[cacheable].tolist()
         for sim in sims:
-            sim._replay(block, requests)
+            sim._replay(block)
     return [sim.result() for sim in sims]
 
 

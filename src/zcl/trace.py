@@ -266,15 +266,7 @@ class Trace:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            origin = -1 if self.origin_hit is None else self.origin_hit[index]
-            return TraceRecord(
-                float(self.timestamps[index]),
-                self.client_ids[self.clients[index]],
-                self.object_ids[self.objects[index]],
-                int(self.sizes[index]),
-                bool(self.cacheable[index]),
-                _ORIGIN_VALUES[origin],
-            )
+            return next(iter(self[[index]]))
         return Trace(
             timestamps=self.timestamps[index],
             objects=self.objects[index],
