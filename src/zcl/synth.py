@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
+from . import trace
 from .model import ChangeRate, RenewalModel, check_change_rate
 from .trace import SECONDS_PER_DAY, Trace
 
@@ -89,17 +91,15 @@ class SyntheticTrace:
     changes: dict[str, list[float]]  # object_id -> sorted change times (s)
 
 
-def _zipf_ranks(rng: np.random.Generator, n: int, alpha: float, count: int) -> np.ndarray:
-    """count ranks from 1..n with weights i**-alpha, by inverse-CDF sampling.
+def _zipf_cdf(n: int, alpha: float) -> np.ndarray:
+    """The cumulative weights of ranks 1..n under i**-alpha, ending at 1.
 
-    The cumulative table costs O(n) and draws no random numbers; each rank
-    is a binary search.
+    A uniform draw u picks rank searchsorted(cdf, u) + 1 (inverse-CDF
+    sampling): the table costs O(n), and each rank is a binary search.
     """
     cdf = np.cumsum(np.arange(1, n + 1, dtype=float) ** -alpha)
     cdf /= cdf[-1]
-    ranks = np.searchsorted(cdf, rng.random(count), side="left")
-    ranks += 1
-    return ranks
+    return cdf
 
 
 def _object_sizes(rng: np.random.Generator, n: int, mean: float, sigma: float) -> np.ndarray:
@@ -125,25 +125,37 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
     times = rng.random(count)
     times.sort()
     times *= horizon_s
-    client_ids = rng.integers(0, spec.clients, size=count).astype(np.int32)
-    cacheable = (
-        np.ones(count, dtype=bool)
-        if spec.cacheable_fraction >= 1.0
-        else rng.random(count) < spec.cacheable_fraction
-    )
+    client_ids = rng.integers(0, spec.clients, size=count, dtype=np.int32)
+
+    # The flags and ranks are drawn a block of rows at a time, straight into
+    # their columns.  A float64 draw takes one 64-bit output whatever its
+    # size, so the stream is that of one whole-trace draw.
+    rows = trace._BLOCK_ROWS
+    blocks = [slice(start, start + rows) for start in range(0, count, rows)]
+    cacheable = np.ones(count, dtype=bool)
+    if spec.cacheable_fraction < 1.0:
+        for block in blocks:
+            flags = cacheable[block]
+            np.less(rng.random(flags.size), spec.cacheable_fraction, out=flags)
 
     # One slot table covers both universes: uncacheable rank r sits at slot
     # other - r and cacheable rank r at other + r - 1, so slot order is the
     # id order (u<other>..u1, then o1..o<n>) and no whole-trace key or sort
-    # is needed.
+    # is needed.  searchsorted gives r - 1, and every cacheable rank is drawn
+    # before any uncacheable one.
     other_universe = max(1, n // 10)
     slots = np.empty(count, dtype=np.int32)
-    n_cacheable = int(cacheable.sum())
-    slots[cacheable] = _zipf_ranks(rng, n, spec.zipf_alpha, n_cacheable) + (other_universe - 1)
-    if n_cacheable < count:
-        slots[~cacheable] = other_universe - _zipf_ranks(
-            rng, other_universe, spec.zipf_alpha, count - n_cacheable
-        )
+    cdf = _zipf_cdf(n, spec.zipf_alpha)
+    for block in blocks:
+        here = cacheable[block]
+        ranks = np.searchsorted(cdf, rng.random(np.count_nonzero(here)))
+        slots[block][here] = ranks + other_universe
+    if not cacheable.all():
+        cdf = _zipf_cdf(other_universe, spec.zipf_alpha)
+        for block in blocks:
+            here = ~cacheable[block]
+            ranks = np.searchsorted(cdf, rng.random(np.count_nonzero(here)))
+            slots[block][here] = (other_universe - 1) - ranks
 
     sizes = _object_sizes(rng, n, spec.size_mean_bytes, spec.size_sigma)
     other_sizes = _object_sizes(rng, other_universe, spec.size_mean_bytes, spec.size_sigma)
@@ -155,13 +167,16 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
         if callable(spec.renewal)
         else np.full(n, spec.renewal)
     )
-    changes: dict[str, list[float]] = {}
-    active = np.nonzero(mus > 0)[0]
-    if active.size:
-        event_counts = rng.poisson(mus[active] * spec.horizon_days)
-        for idx, n_events in zip(active, event_counts):
-            if n_events:
-                changes[f"o{idx + 1}"] = sorted((rng.random(int(n_events)) * horizon_s).tolist())
+    active = np.flatnonzero(mus > 0)
+    event_counts = rng.poisson(mus[active] * spec.horizon_days)
+    # One draw for every event, in object order, split by the counts.
+    when = (rng.random(int(event_counts.sum())) * horizon_s).tolist()
+    has = event_counts > 0
+    ends = np.cumsum(event_counts[has]).tolist()
+    changes = {
+        f"o{idx + 1}": sorted(when[start:end])
+        for idx, start, end in zip(active[has].tolist(), [0, *ends], ends)
+    }
 
     request_sizes = np.concatenate((other_sizes[::-1], sizes))[slots]
     # Ids only for slots that occur: a slot's code is the number of occurring
@@ -170,14 +185,15 @@ def generate_synthetic_trace(spec: SyntheticWorkloadSpec) -> SyntheticTrace:
     present[slots] = True
     codes = np.cumsum(present, dtype=np.int32)[slots]
     codes -= 1
-    occurring = np.flatnonzero(present).tolist()
+    del slots  # before the id strings are made
+    object_ids = chain(
+        map("u{}".format, compress(range(other_universe, 0, -1), present[:other_universe])),
+        map("o{}".format, compress(range(1, n + 1), present[other_universe:])),
+    )
     records = Trace(
         timestamps=times,
         objects=codes,
-        object_ids=tuple(
-            f"u{other_universe - s}" if s < other_universe else f"o{s - other_universe + 1}"
-            for s in occurring
-        ),
+        object_ids=tuple(object_ids),
         clients=client_ids,
         client_ids=tuple(f"c{i}" for i in range(spec.clients)),
         sizes=request_sizes,

@@ -124,17 +124,16 @@ def _interned(
     New tokens are appended to table in first-seen order, so the i-th new
     token gets code len(table) + i, counted before the call.
     """
-    codes = list(map(table.get, tokens))
+    codes = np.fromiter(map(table.get, tokens, repeat(-1)), np.int32, len(tokens))
     new: list[str] = []
-    for i, code in enumerate(codes):
+    for i in np.flatnonzero(codes < 0).tolist():
+        token = tokens[i]
+        code = table.get(token)
         if code is None:
-            token = tokens[i]
-            code = table.get(token)
-            if code is None:
-                code = table[token] = len(table)
-                new.append(token)
-            codes[i] = code
-    return np.array(codes, dtype=np.int32), tuple(new)
+            code = table[token] = len(table)
+            new.append(token)
+        codes[i] = code
+    return codes, tuple(new)
 
 
 class Block(NamedTuple):
@@ -390,11 +389,12 @@ def write_canonical_csv(records: Iterable[TraceRecord], out: IO[str]) -> int:
     Returns the number of rows written.  The optional origin_hit column is
     included whenever at least one record carries a value for it.  Floats
     are written with repr so the round trip is exact; each id is quoted once
-    per id-table entry, and rows are formatted and written in blocks of
-    _BLOCK_ROWS.  A trace of two or more blocks is formatted on two cores:
-    a child forked through read_ahead formats the odd blocks while this
-    process formats the even ones, and this process writes every block in
-    order, so the bytes do not depend on where a block was formatted.
+    per id-table entry, and rows are written in blocks of _BLOCK_ROWS, each
+    formatted a quarter at a time.  A trace of two or more blocks is
+    formatted on two cores: a child forked through read_ahead formats the
+    odd blocks while this process formats the even ones, and this process
+    writes every block in order, so the bytes do not depend on where a block
+    was formatted.
     """
     trace = Trace.from_records(records)
     with_origin = trace.origin_hit is not None and bool((trace.origin_hit >= 0).any())
@@ -405,31 +405,38 @@ def write_canonical_csv(records: Iterable[TraceRecord], out: IO[str]) -> int:
     flag_fields = np.array(["0", "1"], dtype=object)
     origin_fields = np.array(["0", "1", ""], dtype=object)  # code -1 picks ""
 
-    def text(start: int) -> str:
-        """The rows of the block that starts at row start."""
-        block = slice(start, start + _BLOCK_ROWS)
-        columns = [
-            map(repr, trace.timestamps[block].tolist()),
-            client_fields[trace.clients[block]].tolist(),
-            object_fields[trace.objects[block]].tolist(),
-            map(str, trace.sizes[block].tolist()),
-            flag_fields[trace.cacheable[block].astype(np.intp)].tolist(),
-        ]
-        if with_origin:
-            columns.append(origin_fields[trace.origin_hit[block]].tolist())
-        return "\n".join(map(",".join, zip(*columns))) + "\n"
+    def text(start: int) -> Iterator[str]:
+        """The rows of the block that starts at row start, a quarter of a
+        block at a time, so one quarter's row strings live at once."""
+        stop = min(start + _BLOCK_ROWS, len(trace))
+        step = -(-_BLOCK_ROWS // 4)
+        for lo in range(start, stop, step):
+            part = slice(lo, min(lo + step, stop))
+            columns = [
+                map(repr, trace.timestamps[part].tolist()),
+                client_fields[trace.clients[part]].tolist(),
+                object_fields[trace.objects[part]].tolist(),
+                map(str, trace.sizes[part].tolist()),
+                flag_fields[trace.cacheable[part].astype(np.intp)].tolist(),
+            ]
+            if with_origin:
+                columns.append(origin_fields[trace.origin_hit[part]].tolist())
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
 
     starts = range(0, len(trace), _BLOCK_ROWS)
     if len(starts) < 2:  # not worth a fork
-        out.writelines(map(text, starts))
+        for start in starts:
+            out.writelines(text(start))
         return len(trace)
-    # The empty string first makes the child start on block 1 before this
-    # process formats block 0.
-    with contextlib.closing(read_ahead(chain([""], map(text, starts[1::2])))) as odd:
-        out.write(next(odd))
+    # The child sends each odd block as the list of its quarters.  The empty
+    # list first makes the child start on block 1 before this process
+    # formats block 0.
+    odd_blocks = map(list, map(text, starts[1::2]))
+    with contextlib.closing(read_ahead(chain([[]], odd_blocks))) as odd:
+        out.writelines(next(odd))
         for start in starts[::2]:
-            out.write(text(start))
-            out.write(next(odd, ""))
+            out.writelines(text(start))
+            out.writelines(next(odd, ()))
     return len(trace)
 
 

@@ -6,7 +6,8 @@ fixed universe through read_blocks, in blocks of 4,096 rows, and compares
 the tracemalloc peaks.  By N requests nearly every object has been seen, so
 a peak that still grows with the trace is per-request state.  At the default
 16,384 rows the block parse dominates the peak and moves with the block
-layout, hence the small blocks.
+layout, hence the small blocks.  The CSV writer's case writes the N and 3N
+request traces themselves, and its peak is what it holds above them.
 
 The footprint cases replay a trace with no evictions, whose peak is the
 engine's per-object state plus one block's temporaries, and bound it per
@@ -17,6 +18,7 @@ eviction by design, so that the lifetime means keep their bits.
 """
 
 import io
+import os
 import tracemalloc
 from unittest import mock
 
@@ -80,11 +82,10 @@ CASES = {  # the universe of the trace, and the run
 }
 
 
-def peak(run, text):
-    f = io.StringIO(text)
+def peak(run, arg):
     tracemalloc.start()
     try:
-        run(f)
+        run(arg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -100,7 +101,22 @@ def test_peak_memory_does_not_grow_with_the_trace(csv_texts, monkeypatch, case):
         assert (distinct > 10 * CONSTRUCTION_OBJECTS) == (universe == UNIVERSE)
     universe, run = CASES[case]
     monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 4096)
-    short, long = (peak(run, csv_texts[universe, n][0]) for n in (N, 3 * N))
+    short, long = (peak(run, io.StringIO(csv_texts[universe, n][0])) for n in (N, 3 * N))
+    assert long <= 1.1 * short + FLOOR, f"{short} B at {N} requests, {long} B at {3 * N}"
+
+
+def write_to_devnull(records):
+    with open(os.devnull, "w", encoding="utf-8") as out:
+        write_canonical_csv(records, out)
+
+
+def test_csv_write_peak_does_not_grow_with_the_trace(csv_texts, monkeypatch, read_mode):
+    """write_canonical_csv's peak above the trace it writes, in blocks of
+    1,024 rows: 10 and 30 blocks, every other one formatted by the forked
+    child when there is one."""
+    monkeypatch.setattr(trace_module, "_BLOCK_ROWS", 1024)
+    short, long = (peak(write_to_devnull, csv_texts[UNIVERSE, n][1]) for n in (N, 3 * N))
+    assert len(read_mode) == 2 * (trace_module._usable_cpus() > 1)
     assert long <= 1.1 * short + FLOOR, f"{short} B at {N} requests, {long} B at {3 * N}"
 
 

@@ -321,8 +321,9 @@ def test_id_table_is_in_key_order_and_every_code_occurs(universe, fraction, rene
 
 
 def test_generation_peak_memory_per_request():
-    """Temporaries stay small next to the 25 B per request of output columns;
-    numpy reports its buffers to tracemalloc."""
+    """The output columns take 25 B per request and the int32 slot column
+    4 B; the peak reads 30.6 B, so no other whole-trace temporary lives
+    beside them.  numpy reports its buffers to tracemalloc."""
     spec = SyntheticWorkloadSpec(
         universe_size=10_000,
         zipf_alpha=0.8,
@@ -337,4 +338,4 @@ def test_generation_peak_memory_per_request():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / len(out.records) <= 48
+    assert peak / len(out.records) <= 32
